@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -27,6 +28,7 @@ from .serialize import (
     cocycle_from_dict,
     cocycle_to_dict,
     load_scene,
+    open_set_from_dict,
     save_scene,
     superconnection_from_dict,
 )
@@ -54,15 +56,46 @@ def _write_report(report: Report, out: str | None, fmt: str) -> None:
         print(text)
 
 
+class _InputError(SuperchernError):
+    """A flag or config value is out of range."""
+
+
+def _integer(name, value) -> int:
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise _InputError(f"{name} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise _InputError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _suite_config(suite, seed, grid, tol) -> SuiteConfig:
+    """SuiteConfig from flag or config values, checked before any suite runs."""
+    seed = _integer("seed", seed)
+    if seed < 0:
+        raise _InputError(f"seed must be nonnegative, got {seed}")
+    if grid is not None:
+        grid = _integer("grid", grid)
+        if grid < 4 or grid & (grid - 1):
+            raise _InputError(f"grid must be a power of two, at least 4, got {grid}")
+    try:
+        tol = float(tol)
+    except (TypeError, ValueError):
+        raise _InputError(f"tolerance scale must be a number, got {tol!r}") from None
+    if not (math.isfinite(tol) and tol >= 0):
+        raise _InputError(f"tolerance scale must be finite and nonnegative, got {tol}")
+    return SuiteConfig(suite=suite, seed=seed, grid=grid, tol_scale=tol)
+
+
 def _cmd_verify(args) -> int:
     overrides = {}
     if getattr(args, "config", None):
         overrides = load_scene(args.config)
-    cfg = SuiteConfig(
-        suite=overrides.get("suite", args.suite),
-        seed=int(overrides.get("seed", args.seed)),
-        grid=overrides.get("grid", args.grid),
-        tol_scale=float(overrides.get("tol_scale", args.tol)),
+    cfg = _suite_config(
+        overrides.get("suite", args.suite),
+        overrides.get("seed", args.seed),
+        overrides.get("grid", args.grid),
+        overrides.get("tol_scale", args.tol),
     )
     try:
         report = run_suite(cfg)
@@ -82,7 +115,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_dk_chain(args) -> int:
     from .dk import (
-        Stabilizer,
         cocycle_add,
         collapse_invertible,
         kernel_reduce,
@@ -147,23 +179,6 @@ def _stabilizer_from_dict(payload: dict, chart):
     return Stabilizer(int(payload["e_rank"]), s_field, conns)
 
 
-def _open_set_from_dict(payload: dict, chart):
-    from .relative import OpenSet
-
-    kind = payload.get("kind", "whole")
-    if kind == "whole":
-        return OpenSet.whole(chart)
-    if kind == "empty":
-        return OpenSet.empty(chart)
-    if kind == "box":
-        b = payload["boxes"][0]
-        return OpenSet.box(chart, b["center"], b["core"], b["support"])
-    if kind == "complement":
-        boxes = [(b["center"], b["core"], b["support"]) for b in payload["boxes"]]
-        return OpenSet.complement_of_boxes(chart, boxes)
-    raise SceneError(f"unknown open-set kind {kind!r}")
-
-
 def _cmd_relative_index(args) -> int:
     from .forms import integrate
     from .relative import box_integral, index_character, winding_number_box
@@ -172,7 +187,7 @@ def _cmd_relative_index(args) -> int:
     try:
         scene = load_scene(args.scene)
         a = superconnection_from_dict(scene["superconnection"])
-        u = _open_set_from_dict(load_scene(args.open_set), a.chart)
+        u = open_set_from_dict(load_scene(args.open_set), a.chart)
     except (SceneError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -303,7 +318,7 @@ def main(argv=None) -> int:
                 from .suites import run_many
 
                 configs = [
-                    SuiteConfig(suite=name, seed=args.seed, grid=args.grid, tol_scale=args.tol)
+                    _suite_config(name, args.seed, args.grid, args.tol)
                     for name in sorted(SUITES)
                 ]
                 worst = EXIT_PASS
@@ -327,7 +342,7 @@ def main(argv=None) -> int:
             args.suite = "twisted"
             args.format = getattr(args, "format", "json")
             return _cmd_verify(args)
-    except SceneError as exc:
+    except (SceneError, _InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return EXIT_INPUT

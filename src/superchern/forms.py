@@ -339,29 +339,37 @@ def wedge_mul(a: GradedMatrixForm, b: GradedMatrixForm) -> GradedMatrixForm:
     whenever the right form degree is odd.
     """
     a._check_compat(b)
-    chart = a.chart
-    signs = _wedge_signs(chart.dim)
-    out = np.zeros_like(a.data)
-    table = a.grading.conj_table()
-    for i in range(chart.n_components):
-        ai = a.data[i]
-        if not ai.any():
+    out = _wedge_data(a.data, b.data, a.grading.conj_table())
+    return GradedMatrixForm(a.chart, a.grading, out)
+
+
+def _wedge_data(x: np.ndarray, y: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """wedge_mul on component arrays of shape ``(2**dim, ..., m, m)``.
+
+    table is the grading's conj_table; zero components are skipped.
+    """
+    nc = x.shape[0]
+    signs = _wedge_signs(nc.bit_length() - 1)
+    out = np.zeros_like(x)
+    for i in range(nc):
+        xi = x[i]
+        if not xi.any():
             continue
-        ai_conj = ai * table
-        for j in range(chart.n_components):
+        xi_conj = xi * table
+        for j in range(nc):
             s = signs[i, j]
             if s == 0:
                 continue
-            bj = b.data[j]
-            if not bj.any():
+            yj = y[j]
+            if not yj.any():
                 continue
-            left = ai_conj if _popcount(j) % 2 else ai
-            contrib = left @ bj
+            left = xi_conj if _popcount(j) % 2 else xi
+            contrib = left @ yj
             if s == 1:
                 out[i | j] += contrib
             else:
                 out[i | j] -= contrib
-    return GradedMatrixForm(chart, a.grading, out)
+    return out
 
 
 def _derivative_multiplier(n: int) -> np.ndarray:
@@ -435,32 +443,51 @@ _PADE13_THETA = 5.371920351148152
 _EXPM_CHUNK = 1 << 22  # flops-ish guard: chunk when batch * d^2 exceeds this
 
 
-def _expm_block(mats: np.ndarray) -> np.ndarray:
-    b = _PADE13
-    d = mats.shape[-1]
-    eye = np.eye(d, dtype=np.complex128)
-    norm1 = np.abs(mats).sum(axis=-2).max(axis=-1)
+# Smallest fibre rank, per chart dimension 0..3, at which algebra_exp runs
+# Pade in the graded algebra instead of on the left-regular matrix (see
+# algebra_exp for the measurements); on a point the two are the same.
+_GRADED_MIN_RANK = (None, 8, 5, 5)
+
+
+def _scaling_exponents(norm1: np.ndarray) -> np.ndarray:
+    """Squarings s per point so that norm1 / 2**s <= theta_13."""
     with np.errstate(divide="ignore"):
         s = np.ceil(np.log2(np.maximum(norm1, 1e-300) / _PADE13_THETA))
-    s = np.where(norm1 > _PADE13_THETA, s, 0.0).astype(np.int64)
-    a = mats * (0.5 ** s)[:, None, None]
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+    return np.where(norm1 > _PADE13_THETA, s, 0.0).astype(np.int64)
+
+
+def _pade13_uv(a, mul, eye):
+    """Odd and even parts u, v of the Pade-13 numerator, p(a) = v + u.
+
+    mul is the algebra product and eye its unit, broadcastable against a.
+    """
+    b = _PADE13
+    a2 = mul(a, a)
+    a4 = mul(a2, a2)
+    a6 = mul(a2, a4)
+    u = mul(
+        a,
+        mul(a6, b[13] * a6 + b[11] * a4 + b[9] * a2)
         + b[7] * a6
         + b[5] * a4
         + b[3] * a2
-        + b[1] * eye
+        + b[1] * eye,
     )
     v = (
-        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        mul(a6, b[12] * a6 + b[10] * a4 + b[8] * a2)
         + b[6] * a6
         + b[4] * a4
         + b[2] * a2
         + b[0] * eye
     )
+    return u, v
+
+
+def _expm_block(mats: np.ndarray) -> np.ndarray:
+    d = mats.shape[-1]
+    s = _scaling_exponents(np.abs(mats).sum(axis=-2).max(axis=-1))
+    a = mats * (0.5 ** s)[:, None, None]
+    u, v = _pade13_uv(a, np.matmul, np.eye(d, dtype=np.complex128))
     f = np.linalg.solve(v - u, v + u)
     smax = int(s.max()) if s.size else 0
     for r in range(smax):
@@ -515,14 +542,104 @@ def left_regular_matrix(a: GradedMatrixForm) -> np.ndarray:
     return out
 
 
+def _unit(x: np.ndarray) -> np.ndarray:
+    """Unit of the graded algebra, broadcastable against components x."""
+    nc, m = x.shape[0], x.shape[-1]
+    one = np.zeros((nc,) + (1,) * (x.ndim - 3) + (m, m), dtype=np.complex128)
+    one[0] = np.eye(m)
+    return one
+
+
+def _nilpotent_exp(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """exp(x) = sum_{k <= dim} x^k / k! for x without a degree-0 part.
+
+    Exact: a product of k such factors has form degree at least k.
+    """
+    dim = x.shape[0].bit_length() - 1
+    out = x + _unit(x)
+    term = x
+    for k in range(2, dim + 1):
+        term = _wedge_data(term, x, table) / k
+        out += term
+    return out
+
+
+def _graded_expm_block(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Pade-13 scaling and squaring in the graded algebra, x of shape (nc, B, m, m).
+
+    The left-regular 1-norm of a point is max over fibre columns of the
+    column sums of |x_I| added over all components I, so the squarings match
+    _expm_block's.  The denominator w = w_0 (1 + n) with g = w_0^{-1} and
+    n = g w_+ nilpotent (w_+ the part of positive degree), so
+    w^{-1} = sum_{k <= dim} (-n)^k g.
+    """
+    nc = x.shape[0]
+    dim = nc.bit_length() - 1
+
+    def mul(p, q):
+        return _wedge_data(p, q, table)
+
+    s = _scaling_exponents(np.abs(x).sum(axis=(0, -2)).max(axis=-1))
+    a = x * (0.5 ** s)[:, None, None]
+    u, v = _pade13_uv(a, mul, _unit(a))
+    w = v - u
+    g = np.zeros_like(w)
+    g[0] = np.linalg.inv(w[0])
+    w[0] = 0.0
+    n = mul(g, w)
+    z = mul(g, v + u)
+    f = z
+    for _ in range(dim):
+        f = z - mul(n, f)
+    smax = int(s.max()) if s.size else 0
+    for r in range(smax):
+        todo = s > r
+        if todo.all():
+            f = mul(f, f)
+        else:
+            f[:, todo] = mul(f[:, todo], f[:, todo])
+    return f
+
+
+def _graded_expm(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """_graded_expm_block over the grid, chunked like expm_batched."""
+    nc, m = x.shape[0], x.shape[-1]
+    flat = x.reshape(nc, -1, m, m)
+    chunk = max(1, _EXPM_CHUNK // (nc * m * m))
+    out = np.empty_like(flat)
+    for start in range(0, flat.shape[1], chunk):
+        out[:, start : start + chunk] = _graded_expm_block(
+            flat[:, start : start + chunk], table
+        )
+    return out.reshape(x.shape)
+
+
 def algebra_exp(a: GradedMatrixForm, strict_parity: bool = False) -> GradedMatrixForm:
     """Exponential in the graded algebra, pointwise over the grid.
 
-    Computed as the ordinary matrix exponential of the left-regular
-    representation on the 2**dim * m dimensional module, applied to the
-    identity element.  Inputs with a significant total-odd part trigger a
-    ParityWarning (or ParityError when strict_parity is set): the element
-    being exponentiated is even in every identity this package verifies.
+    Inputs with a significant total-odd part trigger a ParityWarning (or
+    ParityError when strict_parity is set): the element being exponentiated
+    is even in every identity this package verifies.  The check runs before
+    one of three evaluations is chosen from the input:
+
+    1. F0 = 0 (no degree-0 part anywhere, as for connection-only curvatures):
+       the terminating series sum_{k <= dim} a^k / k!, exact.
+    2. Fibre rank m >= _GRADED_MIN_RANK[dim] (8 on T^1, 5 on T^2 and T^3):
+       Pade-13 scaling and squaring in the graded algebra on m x m blocks,
+       3**dim block products per algebra product instead of one product of
+       (2**dim m)-square matrices.
+    3. Otherwise the ordinary matrix exponential (expm_batched) of the
+       left-regular representation on the 2**dim * m dimensional module,
+       applied to the identity element.  This is also the reference the
+       other two are tested against.
+
+    Crossover of 2. against 3., time of 3. over time of 2. on random even
+    inputs (two cores, OpenBLAS): T^1 N32-N256 0.6-0.8 at m = 4, 0.7-1.1 at
+    m = 5-7, 1.0-1.7 at m = 8, 1.2-2.2 at m = 12-40; T^2 N16-N32 0.3 at
+    m = 2, 0.9-1.5 at m = 4, 1.4 at m = 5, 1.7-3.1 from m = 6; T^3 N8 0.4 at
+    m = 2, 1.5-1.9 at m = 4, 2.0-5.8 from m = 5.  Ranks up to 4 stay on 3.
+    on every chart, so the many small exponentials of eta quadrature keep
+    the reference's results.
     """
     m = a.rank
     if m == 0:
@@ -537,6 +654,12 @@ def algebra_exp(a: GradedMatrixForm, strict_parity: bool = False) -> GradedMatri
         warnings.warn(
             "algebra_exp input has a total-odd part", ParityWarning, stacklevel=2
         )
+    if not a.data[0].any():
+        data = _nilpotent_exp(a.data, a.grading.conj_table())
+        return GradedMatrixForm(a.chart, a.grading, data)
+    if a.chart.dim and m >= _GRADED_MIN_RANK[a.chart.dim]:
+        data = _graded_expm(a.data, a.grading.conj_table())
+        return GradedMatrixForm(a.chart, a.grading, data)
     rho = left_regular_matrix(a)
     exp_rho = expm_batched(rho)
     cols = exp_rho[..., :, :m]

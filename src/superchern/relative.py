@@ -136,9 +136,13 @@ class RelativeForm:
         self.omega._check_compat(self.sigma)
 
 
-def relative_d(rf: RelativeForm, u: OpenSet | None = None) -> RelativeForm:
-    """(omega, sigma) -> (d omega, omega|_U - d sigma)."""
-    del u  # restriction is sampling; the pair is stored on the full grid
+def relative_d(rf: RelativeForm, _u: OpenSet | None = None) -> RelativeForm:
+    """(omega, sigma) -> (d omega, omega|_U - d sigma).
+
+    The pair is stored on the full grid and restriction to U is sampling, so
+    no open set is needed; a second argument is accepted and ignored for
+    callers written against the older (rf, u) signature.
+    """
     return RelativeForm(exterior_d(rf.omega), rf.omega - exterior_d(rf.sigma))
 
 

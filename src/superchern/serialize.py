@@ -219,6 +219,8 @@ def load_scene(path) -> dict:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SceneError(f"cannot read scene {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise SceneError(f"scene {path} is not a JSON object")
     if payload.get("schema") not in (None, SCHEMA_VERSION):
         raise SceneError(f"unsupported schema {payload.get('schema')}")
     return payload

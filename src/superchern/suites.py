@@ -610,7 +610,7 @@ def _suite_relative(cfg: SuiteConfig):
         S.random_scalar_form(rng, chart, {0, 1, 2}, 0.8),
         S.random_scalar_form(rng, chart, {0, 1}, 0.8),
     )
-    dd = relative_d(relative_d(rf, u), u)
+    dd = relative_d(relative_d(rf))
     checks.append(
         _mk("relative-d-squared", "relative-complex", relative_sup_norm(dd, u), 1e-10 * ts)
     )
@@ -622,7 +622,7 @@ def _suite_relative(cfg: SuiteConfig):
         _mk(
             "relative-pair-closed",
             "relative-chern-pair",
-            relative_sup_norm(relative_d(pair, OpenSet.whole(chart)), OpenSet.whole(chart)),
+            relative_sup_norm(relative_d(pair), OpenSet.whole(chart)),
             1e-8 * ts,
         )
     )

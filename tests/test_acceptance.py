@@ -526,11 +526,11 @@ def test_criterion_10_relative_index():
         random_scalar_form(rng, ch2, {0, 1, 2}, 0.8),
         random_scalar_form(rng, ch2, {0, 1}, 0.8),
     )
-    dd_res = relative_sup_norm(relative_d(relative_d(rf, u), u), u)
+    dd_res = relative_sup_norm(relative_d(relative_d(rf)), u)
 
     a = gapped_superconnection(rng, ch2, gap=1.0, wiggle=0.05, phase_amp=0.15, amp1=0.12)
     pair = relative_chern_pair(a, OpenSet.whole(ch2))
-    pair_res = relative_sup_norm(relative_d(pair, OpenSet.whole(ch2)), OpenSet.whole(ch2))
+    pair_res = relative_sup_norm(relative_d(pair), OpenSet.whole(ch2))
 
     chart = TorusChart(2, 256)
     x, y = chart.coordinate(0), chart.coordinate(1)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from superchern.dk import DKCocycle, curvature_class
 from superchern.forms import Grading, TorusChart, sup_norm
@@ -112,6 +113,36 @@ class TestCLI:
     def test_unknown_suite_is_input_error(self):
         res = run_cli("verify", "no-such-suite")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("command", [("verify", "chern-identities"), ("twisted", "verify")])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--grid", "3"), ("--grid", "12"), ("--tol", "-1"), ("--seed", "-5")],
+    )
+    def test_bad_flag_is_input_error(self, command, flag, value):
+        res = run_cli(*command, flag, value)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+
+    def test_bad_flag_for_all_suites_is_input_error(self):
+        res = run_cli("verify", "all", "--grid", "12")
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"grid": 3}, {"grid": 12}, {"grid": "x"}, {"grid": 8.5}, {"tol_scale": -1},
+         {"tol_scale": "x"}, {"seed": -5}, {"seed": 1.5}, [1, 2]],
+    )
+    def test_bad_config_is_input_error(self, tmp_path, override):
+        config = tmp_path / "config.json"
+        if isinstance(override, dict):
+            save_scene(config, override)
+        else:
+            config.write_text(json.dumps(override))
+        res = run_cli("verify", "chern-identities", "--config", str(config))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
 
     def test_csv_output(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from superchern.errors import ChartMismatchError, ClosednessError, CycleError
+from superchern import forms
+from superchern.errors import (
+    ChartMismatchError,
+    ClosednessError,
+    CycleError,
+    ParityError,
+    ParityWarning,
+)
 from superchern.forms import (
     GradedMatrixForm,
     Grading,
@@ -21,7 +28,15 @@ from superchern.forms import (
     supertrace,
     wedge_mul,
 )
-from superchern.scenes import band_limited_field, random_scalar_form
+from superchern.oddk import OddCocycle, sigma_lift, suspend
+from superchern.scenes import (
+    band_limited_field,
+    dirac_twist_superconnection,
+    random_scalar_form,
+    random_superconnection,
+)
+from superchern.superconn import curvature
+from superchern.twisted import twisted_theta
 
 
 def random_form(chart, grading, seed, amp=1.0):
@@ -210,6 +225,110 @@ class TestAlgebraExp:
         ref = np.stack([sla.expm(m) for m in mats])
         ours = expm_batched(mats)
         assert np.abs(ours - ref).max() / np.abs(ref).max() < 1e-12
+
+
+def _even(chart, grading, seed):
+    return random_form(chart, grading, seed).parity_split()[0]
+
+
+def _nilpotent(chart, grading, seed):
+    a = _even(chart, grading, seed)
+    a.data[0] = 0.0
+    return a
+
+
+def _curv(chart, plus, minus, seed, amp0=1.0):
+    rng = np.random.default_rng(seed)
+    a = random_superconnection(rng, chart, Grading.balanced(plus, minus), amp0=amp0)
+    return -curvature(a)
+
+
+def _twisted(chart, plus, minus, seed, amp0=1.0):
+    rng = np.random.default_rng(seed)
+    a = random_superconnection(rng, chart, Grading.balanced(plus, minus), amp0=amp0)
+    return -twisted_theta(a, random_scalar_form(rng, chart, {2}, 0.8))
+
+
+def _affine(chart, k, modes):
+    return -curvature(sigma_lift(dirac_twist_superconnection(chart, k, modes=modes)))
+
+
+def _suspension():
+    base = TorusChart(1, 4)
+    cocycle = OddCocycle(
+        dirac_twist_superconnection(base, 1, modes=3, scale=2.0),
+        GradedMatrixForm.zeros(base, Grading.trivial(1)),
+    )
+    return -curvature(suspend(cocycle, fiber_modes=3, grid_size=4).A)
+
+
+# (scene, expected dispatch path); path "left-regular" is the reference itself
+EXP_SCENES = {
+    "point-rank3": (lambda: _even(TorusChart(0), Grading.balanced(2, 1), 1), "left-regular"),
+    "T1-rank1": (lambda: _even(TorusChart(1, 8), Grading.trivial(1), 2), "left-regular"),
+    "T1-rank2": (lambda: _curv(TorusChart(1, 16), 1, 1, 3), "left-regular"),
+    "T2-rank4": (lambda: _curv(TorusChart(2, 8), 2, 2, 4), "left-regular"),
+    "T3-rank2": (lambda: _curv(TorusChart(3, 4), 1, 1, 5), "left-regular"),
+    "T2-rank6": (lambda: _curv(TorusChart(2, 8), 3, 3, 6), "graded"),
+    "T3-rank6": (lambda: _curv(TorusChart(3, 4), 3, 3, 7), "graded"),
+    "T1-rank26": (lambda: _curv(TorusChart(1, 8), 13, 13, 8), "graded"),
+    "T2-rank98-suspension": (_suspension, "graded"),
+    "point-F0-zero": (lambda: _curv(TorusChart(0), 1, 1, 15, amp0=0.0), "nilpotent"),
+    "T1-rank12-F0-zero": (lambda: _curv(TorusChart(1, 16), 6, 6, 16, amp0=0.0), "nilpotent"),
+    "T2-rank4-F0-zero": (lambda: _curv(TorusChart(2, 16), 2, 2, 9, amp0=0.0), "nilpotent"),
+    "T3-rank2-F0-zero": (lambda: _curv(TorusChart(3, 4), 1, 1, 10, amp0=0.0), "nilpotent"),
+    "T3-rank3-F0-zero-all-degrees": (
+        lambda: _nilpotent(TorusChart(3, 4), Grading.balanced(2, 1), 17),
+        "nilpotent",
+    ),
+    "T1-affine-rank6": (lambda: _affine(TorusChart(1, 16), 1, modes=1), "left-regular"),
+    "T1-affine-rank10": (lambda: _affine(TorusChart(1, 16), 2, modes=2), "graded"),
+    "T3-twisted-rank2": (lambda: _twisted(TorusChart(3, 4), 1, 1, 11), "left-regular"),
+    "T3-twisted-rank6": (lambda: _twisted(TorusChart(3, 4), 3, 3, 12), "graded"),
+    "T2-twisted-F0-zero": (lambda: _twisted(TorusChart(2, 8), 2, 2, 13, amp0=0.0), "nilpotent"),
+}
+
+
+@pytest.fixture
+def dispatch(monkeypatch):
+    """Records which evaluation algebra_exp ran."""
+    taken = []
+    for name, path in (("_nilpotent_exp", "nilpotent"), ("_graded_expm", "graded")):
+        original = getattr(forms, name)
+
+        def spy(*args, _original=original, _path=path):
+            taken.append(_path)
+            return _original(*args)
+
+        monkeypatch.setattr(forms, name, spy)
+    return taken
+
+
+class TestAlgebraExpDispatch:
+    @pytest.mark.parametrize("scene", sorted(EXP_SCENES))
+    def test_matches_left_regular_reference(self, scene, dispatch):
+        build, path = EXP_SCENES[scene]
+        a = build()
+        m = a.rank
+        ref = expm_batched(left_regular_matrix(a))[..., :, :m]
+        ref = ref.reshape(ref.shape[:-2] + (a.chart.n_components, m, m))
+        ref = np.moveaxis(ref, a.chart.dim, 0)
+        got = algebra_exp(a, strict_parity=True).data
+        assert (dispatch or ["left-regular"]) == [path]
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("scene", ["T2-rank4", "T2-rank6", "T2-rank4-F0-zero"])
+    def test_parity_checked_before_dispatch(self, scene, dispatch):
+        a = EXP_SCENES[scene][0]()
+        noise = random_form(a.chart, a.grading, 14, 0.1).parity_split()[1]
+        noise.data[0] = 0.0  # keeps F0 = 0 where it was
+        bad = a + noise
+        with pytest.raises(ParityError):
+            algebra_exp(bad, strict_parity=True)
+        assert dispatch == []
+        with pytest.warns(ParityWarning):
+            algebra_exp(bad)
+        assert (dispatch or ["left-regular"]) == [EXP_SCENES[scene][1]]
 
 
 class TestHarmonicAndPeriods:

@@ -70,7 +70,7 @@ class TestOpenSets:
 class TestRelativeComplex:
     def test_zero(self):
         z = GradedMatrixForm.zeros(CH2, Grading.trivial(1))
-        rf = relative_d(RelativeForm(z, z), OpenSet.whole(CH2))
+        rf = relative_d(RelativeForm(z, z))
         assert sup_norm(rf.omega) == 0.0 and sup_norm(rf.sigma) == 0.0
 
     def test_d_squared(self, rng):
@@ -79,14 +79,14 @@ class TestRelativeComplex:
             random_scalar_form(rng, CH2, {0, 1, 2}, 0.8),
             random_scalar_form(rng, CH2, {0, 1}, 0.8),
         )
-        dd = relative_d(relative_d(rf, u), u)
+        dd = relative_d(relative_d(rf))
         assert relative_sup_norm(dd, u) < 1e-10
 
     def test_chern_pair_closed(self, rng):
         a = gapped_superconnection(rng, CH2, gap=1.0, wiggle=0.05, phase_amp=0.15, amp1=0.12)
         u = OpenSet.whole(CH2)
         pair = relative_chern_pair(a, u)
-        assert relative_sup_norm(relative_d(pair, u), u) < 1e-8
+        assert relative_sup_norm(relative_d(pair), u) < 1e-8
 
     def test_pair_with_empty_set(self, rng):
         a = gapped_superconnection(rng, CH2, gap=1.0, wiggle=0.05, phase_amp=0.15, amp1=0.12)
