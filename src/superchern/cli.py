@@ -131,6 +131,7 @@ def _cmd_dk_chain(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     trail = []
+    op = None
     try:
         for step in chain.get("ops", []):
             op = step.get("op")
@@ -157,6 +158,12 @@ def _cmd_dk_chain(args) -> int:
                 print(f"error: unknown chain op {op!r}", file=sys.stderr)
                 return EXIT_INPUT
             trail.append({"op": op, "rank": cocycle.rank})
+    except KeyError as exc:
+        print(f"error: chain step {len(trail) + 1} ({op}) lacks key {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except SceneError as exc:
+        print(f"error: chain step {len(trail) + 1} ({op}): {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except SuperchernError as exc:
         print(f"error applying chain: {exc}", file=sys.stderr)
         return EXIT_FAIL

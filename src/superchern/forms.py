@@ -30,6 +30,7 @@ __all__ = [
     "wedge_mul",
     "exterior_d",
     "supertrace",
+    "trace_wedge",
     "matrix_trace",
     "algebra_exp",
     "harmonic_part",
@@ -413,6 +414,39 @@ def supertrace(a: GradedMatrixForm) -> GradedMatrixForm:
     return out
 
 
+def trace_wedge(w: np.ndarray, x: GradedMatrixForm, y: GradedMatrixForm) -> GradedMatrixForm:
+    """Pointwise Tr(w . (x ^ y)) per component for a constant fibre matrix w.
+
+    Rank-1 result, the sum over component pairs of s_ij Tr(x_i' y_j w) with
+    x_i' the left factor wedge_mul uses; the product x ^ y is never formed.
+    w = diag(gamma) gives supertrace(wedge_mul(x, y)).
+    """
+    x._check_compat(y)
+    nc = x.chart.n_components
+    signs = _wedge_signs(x.chart.dim)
+    table = x.grading.conj_table()
+    # y_j w, or None where y_j = 0
+    yw = [np.tensordot(yj, w, axes=(-1, 0)) if yj.any() else None for yj in y.data]
+    out = GradedMatrixForm.zeros(x.chart, Grading.trivial(1))
+    acc = out.data[..., 0, 0]
+    for i in range(nc):
+        xi = x.data[i]
+        if not xi.any():
+            continue
+        left = (xi, xi * table)
+        for j in range(nc):
+            s = signs[i, j]
+            if s == 0 or yw[j] is None:
+                continue
+            # Tr(l m) = sum_ab l_ba m_ab
+            contrib = np.einsum("...ba,...ab->...", left[_popcount(j) % 2], yw[j])
+            if s == 1:
+                acc[i | j] += contrib
+            else:
+                acc[i | j] -= contrib
+    return out
+
+
 def matrix_trace(a: GradedMatrixForm) -> GradedMatrixForm:
     """Plain pointwise matrix trace per component; result is a rank-1 form."""
     out = GradedMatrixForm.zeros(a.chart, Grading.trivial(1))
@@ -440,6 +474,7 @@ _PADE13 = (
     1.0,
 )
 _PADE13_THETA = 5.371920351148152
+_UNIT_ROUNDOFF = 2.0**-53
 _EXPM_CHUNK = 1 << 22  # flops-ish guard: chunk when batch * d^2 exceeds this
 
 
@@ -564,6 +599,18 @@ def _nilpotent_exp(x: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out
 
 
+def _odd_max(mag: np.ndarray, table: np.ndarray) -> float:
+    """Largest |entry| of the total-odd part, from mag = |components|.
+
+    The total-odd part of a component keeps the entries whose gamma parity
+    differs from its form degree's and zeroes the rest, so no copy is needed.
+    """
+    nc = mag.shape[0]
+    degree_odd = np.array([_popcount(i) % 2 for i in range(nc)], dtype=bool)
+    odd = (table < 0) != degree_odd.reshape((nc,) + (1,) * (mag.ndim - 1))
+    return float((mag * odd).max())
+
+
 def _graded_expm_block(x: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Pade-13 scaling and squaring in the graded algebra, x of shape (nc, B, m, m).
 
@@ -622,8 +669,17 @@ def algebra_exp(a: GradedMatrixForm, strict_parity: bool = False) -> GradedMatri
     is even in every identity this package verifies.  The check runs before
     one of three evaluations is chosen from the input:
 
-    1. F0 = 0 (no degree-0 part anywhere, as for connection-only curvatures):
-       the terminating series sum_{k <= dim} a^k / k!, exact.
+    1. Central degree-0 part: at every point a_0 = lam 1 + E with
+       lam = tr(a_0) / m and ||E|| <= u ||a|| (u = 2**-53, ||.|| the 1-norm
+       of the left-regular representation, the norm Pade scaling uses).
+       Then exp(a) = e^lam sum_{k <= dim} N^k / k! with N = a - a_0, a
+       terminating series.  It covers F0 = 0 (lam = 0, connection-only
+       curvatures), every rank-1 input, and the (1|1) curvatures of eta
+       quadrature, whose F0 = B_0^2 = |phi|^2 1 by the Clifford relation.
+       Treating such an a_0 as exactly central evaluates exp(a - E): a
+       backward error of at most u ||a||, the same bound the Pade-13 degree
+       and scaling of 2. and 3. are chosen to meet (Higham, SIAM J. Matrix
+       Anal. Appl. 26, 2005), so this adds no error beyond the reference's.
     2. Fibre rank m >= _GRADED_MIN_RANK[dim] (8 on T^1, 5 on T^2 and T^3):
        Pade-13 scaling and squaring in the graded algebra on m x m blocks,
        3**dim block products per algebra product instead of one product of
@@ -637,16 +693,15 @@ def algebra_exp(a: GradedMatrixForm, strict_parity: bool = False) -> GradedMatri
     inputs (two cores, OpenBLAS): T^1 N32-N256 0.6-0.8 at m = 4, 0.7-1.1 at
     m = 5-7, 1.0-1.7 at m = 8, 1.2-2.2 at m = 12-40; T^2 N16-N32 0.3 at
     m = 2, 0.9-1.5 at m = 4, 1.4 at m = 5, 1.7-3.1 from m = 6; T^3 N8 0.4 at
-    m = 2, 1.5-1.9 at m = 4, 2.0-5.8 from m = 5.  Ranks up to 4 stay on 3.
-    on every chart, so the many small exponentials of eta quadrature keep
-    the reference's results.
+    m = 2, 1.5-1.9 at m = 4, 2.0-5.8 from m = 5.  Ranks up to 4 with a
+    non-central degree-0 part stay on 3. on every chart.
     """
     m = a.rank
     if m == 0:
         return GradedMatrixForm.zeros(a.chart, a.grading)
-    _, odd = a.parity_split()
-    scale = max(a.sup_norm(), 1.0)
-    if odd.sup_norm() > 1e-10 * scale:
+    table = a.grading.conj_table()
+    mag = np.abs(a.data)
+    if _odd_max(mag, table) > 1e-10 * max(float(mag.max()), 1.0):
         if strict_parity:
             from .errors import ParityError
 
@@ -654,11 +709,19 @@ def algebra_exp(a: GradedMatrixForm, strict_parity: bool = False) -> GradedMatri
         warnings.warn(
             "algebra_exp input has a total-odd part", ParityWarning, stacklevel=2
         )
-    if not a.data[0].any():
-        data = _nilpotent_exp(a.data, a.grading.conj_table())
+    a0 = a.data[0]
+    lam = np.einsum("...rr->...", a0) / m
+    spread = np.abs(a0 - lam[..., None, None] * np.eye(m)).sum(axis=-2).max(axis=-1)
+    norm1 = mag.sum(axis=0).sum(axis=-2).max(axis=-1)
+    if np.all(spread <= _UNIT_ROUNDOFF * norm1):
+        x = a.data.copy()
+        x[0] = 0.0
+        data = _nilpotent_exp(x, table)
+        if lam.any():
+            data *= np.exp(lam)[..., None, None]
         return GradedMatrixForm(a.chart, a.grading, data)
     if a.chart.dim and m >= _GRADED_MIN_RANK[a.chart.dim]:
-        data = _graded_expm(a.data, a.grading.conj_table())
+        data = _graded_expm(a.data, table)
         return GradedMatrixForm(a.chart, a.grading, data)
     rho = left_regular_matrix(a)
     exp_rho = expm_batched(rho)

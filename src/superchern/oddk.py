@@ -123,6 +123,14 @@ def tr_sigma(x) -> GradedMatrixForm:
     return out
 
 
+def _sigma_weight(rank: int) -> np.ndarray:
+    """Fibre matrix W with tr_sigma(x) = Tr(W x) on the doubled bundle."""
+    m = rank // 2
+    w = np.zeros((rank, rank), dtype=np.complex128)
+    w[m:, :m] = np.eye(m)
+    return w
+
+
 def odd_chern(a: Superconnection) -> GradedMatrixForm:
     """Tr_sigma exp(-(sigma-lift)^2); a closed scalar form of odd degrees."""
     lifted = sigma_lift(a)
@@ -135,14 +143,16 @@ def odd_eta_between(
     a0: Superconnection, a1: Superconnection, cfg: QuadratureConfig | None = None
 ) -> EtaResult:
     """Transgression of the odd Chern character along the linear path."""
-    return eta_between(sigma_lift(a0), sigma_lift(a1), cfg, trace_fn=tr_sigma)
+    lifted = sigma_lift(a0)
+    return eta_between(lifted, sigma_lift(a1), cfg, weight=_sigma_weight(lifted.rank))
 
 
 def odd_eta_infinity(
     a: Superconnection, tol: float = 1e-10, cfg: QuadratureConfig | None = None
 ) -> EtaResult:
     """Odd transgression to infinity; requires an invertible degree-0 term."""
-    return eta_infinity(sigma_lift(a), tol=tol, cfg=cfg, trace_fn=tr_sigma)
+    lifted = sigma_lift(a)
+    return eta_infinity(lifted, tol=tol, cfg=cfg, weight=_sigma_weight(lifted.rank))
 
 
 @dataclass

@@ -6,9 +6,10 @@ rescaled family A_t = t A_[0] + A_[1] + t^{-1} A_[2] + ... over [1, T],
 where T is chosen from the Gaussian tail bound available when the degree-0
 term has a spectral gap.
 
-Both entry points accept a trace functional and a curvature map so the odd
-(sigma-trace) and twisted (curving-shifted) variants can reuse the same
-quadrature core.
+eta_between and eta_infinity take the trace functional as a constant fibre
+weight W, tr(x) = Tr(W x) (gamma for the supertrace, the sigma-block selector
+for the odd variant), and an optional constant curving added to the
+curvature (the twisted variant), so all variants share one quadrature core.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInvertibleError
-from .forms import GradedMatrixForm, algebra_exp, supertrace, wedge_mul
+from .forms import GradedMatrixForm, algebra_exp, exterior_d, trace_wedge, wedge_mul
 from .superconn import (
     Superconnection,
     affine_path,
     curvature,
     min_gap,
-    rescale,
     rescale_derivative,
 )
 
@@ -91,8 +91,16 @@ def integrate_form(integrand, a: float, b: float, cfg: QuadratureConfig):
     return full, (full - coarse).sup_norm()
 
 
-def _default_theta(a: Superconnection) -> GradedMatrixForm:
-    return curvature(a)
+def _node_heat(theta: np.ndarray, curving: GradedMatrixForm | None, like):
+    """exp(-(theta + curving)) for curvature components theta."""
+    if curving is not None:
+        theta = theta + curving.data
+    return algebra_exp(GradedMatrixForm(like.chart, like.grading, -theta))
+
+
+def _gamma(a: Superconnection) -> np.ndarray:
+    """The grading as a fibre matrix: Tr(gamma x) is the supertrace."""
+    return np.diag(a.grading.signature.astype(np.complex128))
 
 
 def eta_between(
@@ -100,39 +108,44 @@ def eta_between(
     a1: Superconnection,
     cfg: QuadratureConfig | None = None,
     *,
-    trace_fn=supertrace,
-    theta_fn=_default_theta,
+    weight: np.ndarray | None = None,
+    curving: GradedMatrixForm | None = None,
 ) -> EtaResult:
-    """Transgression form along the linear path from a0 to a1."""
+    """Transgression form along the linear path from a0 to a1.
+
+    Along B(t) = B_0 + t D the curvature is F(A_0) + t (dD + B_0 D + D B_0)
+    + t^2 D D (the affine slopes agree at both ends, so they only enter
+    F(A_0)); the three coefficients are computed once.
+    """
     cfg = cfg or QuadratureConfig()
-    path, diff = affine_path(a0, a1)
+    _, diff = affine_path(a0, a1)
+    b0 = a0.coeff
+    f0 = curvature(a0).data
+    f1 = (exterior_d(diff) + wedge_mul(b0, diff) + wedge_mul(diff, b0)).data
+    f2 = wedge_mul(diff, diff).data
+    w = _gamma(a0) if weight is None else weight
 
     def integrand(t):
-        heat = algebra_exp(-theta_fn(path(t)))
-        return trace_fn(wedge_mul(diff, heat))
+        heat = _node_heat(f0 + t * (f1 + t * f2), curving, b0)
+        return trace_wedge(w, diff, heat)
 
     form, est = integrate_form(integrand, 0.0, 1.0, cfg)
     return EtaResult(form=form, est_error=est)
 
 
-def eta_along_path(
-    path,
-    dpath,
-    cfg: QuadratureConfig | None = None,
-    *,
-    trace_fn=supertrace,
-    theta_fn=_default_theta,
-) -> EtaResult:
+def eta_along_path(path, dpath, cfg: QuadratureConfig | None = None) -> EtaResult:
     """Transgression along an arbitrary smooth path of superconnections.
 
     path(t) returns a Superconnection and dpath(t) its coefficient-form
-    t-derivative; used for homotopy-invariance checks with user paths.
+    t-derivative; used for homotopy-invariance checks with user paths.  The
+    curvature is recomputed at every node.
     """
     cfg = cfg or QuadratureConfig()
 
     def integrand(t):
-        heat = algebra_exp(-theta_fn(path(t)))
-        return trace_fn(wedge_mul(dpath(t), heat))
+        at = path(t)
+        heat = algebra_exp(-curvature(at))
+        return trace_wedge(_gamma(at), dpath(t), heat)
 
     form, est = integrate_form(integrand, 0.0, 1.0, cfg)
     return EtaResult(form=form, est_error=est)
@@ -144,25 +157,30 @@ def eta_infinity(
     cfg: QuadratureConfig | None = None,
     *,
     gap: float | None = None,
-    trace_fn=supertrace,
-    theta_fn=_default_theta,
+    weight: np.ndarray | None = None,
+    curving: GradedMatrixForm | None = None,
 ) -> EtaResult:
     """Transgression to infinity for an invertible degree-0 term.
 
     The integral over [1, T] is truncated where the tail bound
     C exp(-c^2 T^2 / 2) drops below tol, with c the spectral gap and C the
-    integrand magnitude at t = 1 times the configured safety factor.
+    integrand magnitude at t = 1 times the configured safety factor.  The
+    curvature of the rescaled family is F(A_t) = t^2 delta_t F(A), delta_t
+    scaling degree-k components by t^-k, so F(A) is computed once.
     """
     cfg = cfg or QuadratureConfig()
     c = min_gap(a) if gap is None else gap
     if not c > 0:
         raise NotInvertibleError("eta_infinity requires an invertible degree-0 term", c)
+    chart = a.chart
+    degree = np.array([bin(mask).count("1") for mask in range(chart.n_components)])
+    degree = degree.reshape((-1,) + (1,) * (chart.dim + 2))
+    f = curvature(a).data
+    w = _gamma(a) if weight is None else weight
 
     def integrand(t):
-        at = rescale(a, t)
-        dat = rescale_derivative(a, t)
-        heat = algebra_exp(-theta_fn(at))
-        return trace_fn(wedge_mul(dat, heat))
+        heat = _node_heat(f * t ** (2.0 - degree), curving, a.coeff)
+        return trace_wedge(w, rescale_derivative(a, t), heat)
 
     start = integrand(1.0)
     big_c = max(start.sup_norm(), tol) * cfg.tail_safety

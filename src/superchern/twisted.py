@@ -307,25 +307,23 @@ def _embed_scalar(kappa: GradedMatrixForm, grading: Grading) -> GradedMatrixForm
     return out
 
 
-def twisted_theta(a: Superconnection, kappa: GradedMatrixForm) -> GradedMatrixForm:
-    """theta = A^2 + kappa . I in global-curving mode."""
+def _curving(kappa: GradedMatrixForm, grading: Grading) -> GradedMatrixForm:
+    """kappa . I, the curving term of theta, for a global curving kappa."""
     if kappa.rank != 1:
         raise ChartMismatchError(
             "multi-chart curvings are not supported; supply a global 2-form"
         )
-    return curvature(a) + _embed_scalar(kappa, a.grading)
+    return _embed_scalar(kappa, grading)
+
+
+def twisted_theta(a: Superconnection, kappa: GradedMatrixForm) -> GradedMatrixForm:
+    """theta = A^2 + kappa . I in global-curving mode."""
+    return curvature(a) + _curving(kappa, a.grading)
 
 
 def twisted_chern(a: Superconnection, kappa: GradedMatrixForm) -> GradedMatrixForm:
     """Str exp(-theta); d_H-closed for H = d kappa."""
     return supertrace(algebra_exp(-twisted_theta(a, kappa)))
-
-
-def _theta_fn(kappa):
-    def theta(a: Superconnection) -> GradedMatrixForm:
-        return twisted_theta(a, kappa)
-
-    return theta
 
 
 def twisted_eta_between(
@@ -334,7 +332,7 @@ def twisted_eta_between(
     kappa: GradedMatrixForm,
     cfg: QuadratureConfig | None = None,
 ) -> EtaResult:
-    return eta_between(a0, a1, cfg, theta_fn=_theta_fn(kappa))
+    return eta_between(a0, a1, cfg, curving=_curving(kappa, a0.grading))
 
 
 def twisted_eta_infinity(
@@ -343,7 +341,7 @@ def twisted_eta_infinity(
     tol: float = 1e-10,
     cfg: QuadratureConfig | None = None,
 ) -> EtaResult:
-    return eta_infinity(a, tol=tol, cfg=cfg, theta_fn=_theta_fn(kappa))
+    return eta_infinity(a, tol=tol, cfg=cfg, curving=_curving(kappa, a.grading))
 
 
 # -- equality mod Im(d_H) ------------------------------------------------------

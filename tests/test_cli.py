@@ -195,6 +195,32 @@ class TestCLI:
             sup_norm(curvature_class(result) - curvature_class(c)) < 1e-8
         )
 
+    def _chain_cli(self, tmp_path, rng, steps):
+        c = DKCocycle(
+            random_superconnection(rng, CH1, G11, amp0=0.3, amp1=0.2, max_mode=1),
+            random_omega(rng, CH1, 0.4, 1),
+        )
+        scene = tmp_path / "c.json"
+        save_scene(scene, cocycle_to_dict(c))
+        chain = tmp_path / "chain.json"
+        save_scene(chain, {"type": "relation_chain", "ops": steps})
+        return run_cli("dk", "apply-chain", "--cocycle", str(scene), "--chain", str(chain))
+
+    @pytest.mark.parametrize(
+        "step", [{"op": "stabilize", "stabilizer": {"e_rank": 1}}, {"op": "add"}]
+    )
+    def test_chain_step_missing_key_is_input_error(self, tmp_path, rng, step):
+        res = self._chain_cli(tmp_path, rng, [step])
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+
+    def test_chain_step_unreadable_scene_is_input_error(self, tmp_path, rng):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        res = self._chain_cli(tmp_path, rng, [{"op": "add", "with": str(bad)}])
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+
     def test_relative_index_cli(self, tmp_path):
         chart = TorusChart(2, 128)
         x, y = chart.coordinate(0), chart.coordinate(1)

@@ -26,16 +26,17 @@ from superchern.forms import (
     matrix_trace,
     sup_norm,
     supertrace,
+    trace_wedge,
     wedge_mul,
 )
-from superchern.oddk import OddCocycle, sigma_lift, suspend
+from superchern.oddk import OddCocycle, _sigma_weight, sigma_lift, suspend, tr_sigma
 from superchern.scenes import (
     band_limited_field,
     dirac_twist_superconnection,
     random_scalar_form,
     random_superconnection,
 )
-from superchern.superconn import curvature
+from superchern.superconn import curvature, product
 from superchern.twisted import twisted_theta
 
 
@@ -249,6 +250,13 @@ def _twisted(chart, plus, minus, seed, amp0=1.0):
     return -twisted_theta(a, random_scalar_form(rng, chart, {2}, 0.8))
 
 
+def _product(chart, seed):
+    # (1|1) x (1|1): F0 = (|a|^2 + |b|^2) 1 by the Clifford relation
+    rng = np.random.default_rng(seed)
+    a1, a2 = (random_superconnection(rng, chart, Grading.balanced(1, 1)) for _ in range(2))
+    return -curvature(product(a1, a2))
+
+
 def _affine(chart, k, modes):
     return -curvature(sigma_lift(dirac_twist_superconnection(chart, k, modes=modes)))
 
@@ -265,35 +273,45 @@ def _suspension():
 # (scene, expected dispatch path); path "left-regular" is the reference itself
 EXP_SCENES = {
     "point-rank3": (lambda: _even(TorusChart(0), Grading.balanced(2, 1), 1), "left-regular"),
-    "T1-rank1": (lambda: _even(TorusChart(1, 8), Grading.trivial(1), 2), "left-regular"),
-    "T1-rank2": (lambda: _curv(TorusChart(1, 16), 1, 1, 3), "left-regular"),
+    "T1-rank1": (lambda: _even(TorusChart(1, 8), Grading.trivial(1), 2), "central"),
+    "T1-rank2": (lambda: _curv(TorusChart(1, 16), 1, 1, 3), "central"),
+    "T2-rank2": (lambda: _curv(TorusChart(2, 16), 1, 1, 18), "central"),
     "T2-rank4": (lambda: _curv(TorusChart(2, 8), 2, 2, 4), "left-regular"),
-    "T3-rank2": (lambda: _curv(TorusChart(3, 4), 1, 1, 5), "left-regular"),
+    "T2-rank4-product": (lambda: _product(TorusChart(2, 8), 19), "central"),
+    "T3-rank2": (lambda: _curv(TorusChart(3, 4), 1, 1, 5), "central"),
     "T2-rank6": (lambda: _curv(TorusChart(2, 8), 3, 3, 6), "graded"),
     "T3-rank6": (lambda: _curv(TorusChart(3, 4), 3, 3, 7), "graded"),
     "T1-rank26": (lambda: _curv(TorusChart(1, 8), 13, 13, 8), "graded"),
     "T2-rank98-suspension": (_suspension, "graded"),
-    "point-F0-zero": (lambda: _curv(TorusChart(0), 1, 1, 15, amp0=0.0), "nilpotent"),
-    "T1-rank12-F0-zero": (lambda: _curv(TorusChart(1, 16), 6, 6, 16, amp0=0.0), "nilpotent"),
-    "T2-rank4-F0-zero": (lambda: _curv(TorusChart(2, 16), 2, 2, 9, amp0=0.0), "nilpotent"),
-    "T3-rank2-F0-zero": (lambda: _curv(TorusChart(3, 4), 1, 1, 10, amp0=0.0), "nilpotent"),
+    "point-F0-zero": (lambda: _curv(TorusChart(0), 1, 1, 15, amp0=0.0), "central"),
+    "T1-rank12-F0-zero": (lambda: _curv(TorusChart(1, 16), 6, 6, 16, amp0=0.0), "central"),
+    "T2-rank4-F0-zero": (lambda: _curv(TorusChart(2, 16), 2, 2, 9, amp0=0.0), "central"),
+    "T3-rank2-F0-zero": (lambda: _curv(TorusChart(3, 4), 1, 1, 10, amp0=0.0), "central"),
     "T3-rank3-F0-zero-all-degrees": (
         lambda: _nilpotent(TorusChart(3, 4), Grading.balanced(2, 1), 17),
-        "nilpotent",
+        "central",
     ),
     "T1-affine-rank6": (lambda: _affine(TorusChart(1, 16), 1, modes=1), "left-regular"),
     "T1-affine-rank10": (lambda: _affine(TorusChart(1, 16), 2, modes=2), "graded"),
-    "T3-twisted-rank2": (lambda: _twisted(TorusChart(3, 4), 1, 1, 11), "left-regular"),
+    "T3-twisted-rank2": (lambda: _twisted(TorusChart(3, 4), 1, 1, 11), "central"),
     "T3-twisted-rank6": (lambda: _twisted(TorusChart(3, 4), 3, 3, 12), "graded"),
-    "T2-twisted-F0-zero": (lambda: _twisted(TorusChart(2, 8), 2, 2, 13, amp0=0.0), "nilpotent"),
+    "T2-twisted-F0-zero": (lambda: _twisted(TorusChart(2, 8), 2, 2, 13, amp0=0.0), "central"),
 }
+
+
+def _reference_exp(a):
+    """Components of exp(a) from expm_batched on the left-regular matrix."""
+    m = a.rank
+    ref = expm_batched(left_regular_matrix(a))[..., :, :m]
+    ref = ref.reshape(ref.shape[:-2] + (a.chart.n_components, m, m))
+    return np.moveaxis(ref, a.chart.dim, 0)
 
 
 @pytest.fixture
 def dispatch(monkeypatch):
     """Records which evaluation algebra_exp ran."""
     taken = []
-    for name, path in (("_nilpotent_exp", "nilpotent"), ("_graded_expm", "graded")):
+    for name, path in (("_nilpotent_exp", "central"), ("_graded_expm", "graded")):
         original = getattr(forms, name)
 
         def spy(*args, _original=original, _path=path):
@@ -309,10 +327,7 @@ class TestAlgebraExpDispatch:
     def test_matches_left_regular_reference(self, scene, dispatch):
         build, path = EXP_SCENES[scene]
         a = build()
-        m = a.rank
-        ref = expm_batched(left_regular_matrix(a))[..., :, :m]
-        ref = ref.reshape(ref.shape[:-2] + (a.chart.n_components, m, m))
-        ref = np.moveaxis(ref, a.chart.dim, 0)
+        ref = _reference_exp(a)
         got = algebra_exp(a, strict_parity=True).data
         assert (dispatch or ["left-regular"]) == [path]
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -329,6 +344,54 @@ class TestAlgebraExpDispatch:
         with pytest.warns(ParityWarning):
             algebra_exp(bad)
         assert (dispatch or ["left-regular"]) == [EXP_SCENES[scene][1]]
+
+
+class TestCentralDegreeZero:
+    def _spread(self, a, size, point):
+        """a with a traceless gamma-even E of 1-norm size * ||a|| at one point."""
+        bumped = a.copy()
+        norm1 = np.abs(a.data).sum(axis=(0, -2)).max(axis=-1)
+        e = np.zeros((a.rank, a.rank))
+        e[0, 0], e[-1, -1] = 1.0, -1.0
+        bumped.data[(0,) + point] += size * norm1[point] * e
+        return bumped
+
+    def test_spread_above_roundoff_goes_to_pade(self, dispatch):
+        a = self._spread(EXP_SCENES["T2-rank2"][0](), 10 * 2.0**-53, (3, 5))
+        ref = _reference_exp(a)
+        got = algebra_exp(a, strict_parity=True).data
+        assert dispatch == []
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_spread_below_roundoff_stays_central(self, dispatch):
+        a = self._spread(EXP_SCENES["T2-rank2"][0](), 0.25 * 2.0**-53, (3, 5))
+        ref = _reference_exp(a)
+        got = algebra_exp(a, strict_parity=True).data
+        assert dispatch == ["central"]
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_scalar_degree_zero(self):
+        ch = TorusChart(2, 8)
+        a = _nilpotent(ch, Grading.balanced(2, 2), 20)
+        lam = band_limited_field(np.random.default_rng(21), ch, (), 1, 1.0)
+        a.data[0] = lam[..., None, None] * np.eye(4)
+        got = algebra_exp(a, strict_parity=True).data
+        a.data[0] = 0.0
+        series = algebra_exp(a, strict_parity=True).data
+        assert np.abs(got - np.exp(lam)[..., None, None] * series).max() < 1e-13
+
+
+class TestTraceWedge:
+    @pytest.mark.parametrize("dim", [0, 1, 2, 3])
+    def test_matches_trace_of_product(self, dim):
+        ch = TorusChart(dim, 4)
+        grading = Grading.balanced(2, 2)
+        x, y = random_form(ch, grading, 30 + dim), random_form(ch, grading, 40 + dim)
+        gamma = np.diag(grading.signature.astype(complex))
+        prod = wedge_mul(x, y)
+        assert sup_norm(trace_wedge(gamma, x, y) - supertrace(prod)) < 1e-13
+        sigma = _sigma_weight(grading.rank)
+        assert sup_norm(trace_wedge(sigma, x, y) - tr_sigma(prod)) < 1e-13
 
 
 class TestHarmonicAndPeriods:

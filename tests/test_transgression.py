@@ -3,26 +3,40 @@
 import numpy as np
 import pytest
 
+from superchern import transgression
 from superchern.errors import NotInvertibleError
 from superchern.forms import (
     Grading,
     TorusChart,
+    algebra_exp,
     exterior_d,
     harmonic_coefficients,
     sup_norm,
 )
+from superchern.oddk import sigma_lift
 from superchern.scenes import (
+    dirac_twist_superconnection,
     gapped_superconnection,
     random_conn1,
+    random_odd_superconnection,
+    random_scalar_form,
     random_superconnection,
 )
-from superchern.superconn import Superconnection, chern_character
+from superchern.superconn import (
+    Superconnection,
+    affine_path,
+    chern_character,
+    curvature,
+    rescale,
+)
 from superchern.transgression import (
     QuadratureConfig,
+    _panel_nodes,
     eta_along_path,
     eta_between,
     eta_infinity,
 )
+from superchern.twisted import _curving, twisted_theta
 
 CH2 = TorusChart(2, 32)
 G11 = Grading.balanced(1, 1)
@@ -136,3 +150,79 @@ class TestEtaInfinity:
         t_sharp = eta_infinity(sharp, tol=1e-10).truncation_T
         t_soft = eta_infinity(soft, tol=1e-10).truncation_T
         assert t_soft > t_sharp
+
+
+def _node_inputs(monkeypatch):
+    """Records every algebra_exp input of the eta quadrature."""
+    seen = []
+
+    def spy(a, *args, **kwargs):
+        seen.append(a)
+        return algebra_exp(a, *args, **kwargs)
+
+    monkeypatch.setattr(transgression, "algebra_exp", spy)
+    return seen
+
+
+def _nodes(a, b, cfg):
+    full = _panel_nodes(a, b, cfg.panels, cfg.order)[0]
+    return list(full) + list(_panel_nodes(a, b, cfg.panels, cfg.order // 2)[0])
+
+
+def _assert_close(got, ref):
+    assert sup_norm(got - ref) <= 1e-14 * max(sup_norm(ref), 1.0)
+
+
+def _twisted_pair(rng):
+    kappa = random_scalar_form(rng, CH2, {2}, 0.8)
+    return mk(11), mk(12), _curving(kappa, G11), kappa
+
+
+class TestNodeCurvature:
+    """The per-node curvature from precomputed terms against a direct evaluation."""
+
+    CFG = QuadratureConfig(panels=2, order=4)
+
+    def _sigma_affine_pair(self):
+        # a mode-shift family and a periodic perturbation of it, same slope
+        ch = TorusChart(1, 32)
+        a0 = dirac_twist_superconnection(ch, 1, modes=2, scale=2.0)
+        bump = random_odd_superconnection(np.random.default_rng(15), ch, a0.rank, 0.4, 0.3, 1)
+        a1 = Superconnection(a0.coeff + bump.coeff, a0.affine)
+        return sigma_lift(a0), sigma_lift(a1)
+
+    @pytest.mark.parametrize("scene", ["random", "sigma-affine", "twisted"])
+    def test_linear_path(self, monkeypatch, rng, scene):
+        curving = kappa = None
+        if scene == "random":
+            a0, a1 = mk(13), mk(14)
+        elif scene == "sigma-affine":
+            a0, a1 = self._sigma_affine_pair()
+        else:
+            a0, a1, curving, kappa = _twisted_pair(rng)
+        seen = _node_inputs(monkeypatch)
+        eta_between(a0, a1, self.CFG, curving=curving)
+        path, _ = affine_path(a0, a1)
+        ts = _nodes(0.0, 1.0, self.CFG)
+        assert len(seen) == len(ts)
+        for t, node in zip(ts, seen):
+            ref = curvature(path(t)) if kappa is None else twisted_theta(path(t), kappa)
+            _assert_close(-node, ref)
+
+    @pytest.mark.parametrize("scene", ["gapped", "sigma-affine", "twisted"])
+    def test_rescaled_family(self, monkeypatch, rng, scene):
+        curving = kappa = None
+        a = gapped_superconnection(rng, CH2, gap=1.0, wiggle=0.06, phase_amp=0.2, amp1=0.15)
+        if scene == "sigma-affine":
+            a = self._sigma_affine_pair()[0]
+        elif scene == "twisted":
+            kappa = random_scalar_form(rng, CH2, {2}, 0.8)
+            curving = _curving(kappa, a.grading)
+        seen = _node_inputs(monkeypatch)
+        res = eta_infinity(a, tol=1e-10, cfg=self.CFG, gap=1.0, curving=curving)
+        ts = [1.0] + _nodes(1.0, res.truncation_T, self.CFG)
+        assert len(seen) == len(ts)
+        for t, node in zip(ts, seen):
+            at = rescale(a, t)
+            ref = curvature(at) if kappa is None else twisted_theta(at, kappa)
+            _assert_close(-node, ref)
