@@ -238,10 +238,26 @@ def _cmd_relative_index(args) -> int:
     return EXIT_PASS
 
 
+def _cutoffs(text: str) -> tuple:
+    """Comma-separated cutoffs of spectral table, each an integer >= 1."""
+    values = []
+    for item in text.split(","):
+        try:
+            n = int(item)
+        except ValueError:
+            raise _InputError(f"cutoffs must be integers, got {item!r}") from None
+        if n < 1:
+            raise _InputError(f"cutoffs must be at least 1, got {n}")
+        values.append(n)
+    return tuple(values)
+
+
 def _cmd_spectral_table(args) -> int:
     from .spectral import DiracModel, TruncatedOperator, parametrix_test
 
-    cutoffs = tuple(int(x) for x in args.cutoffs.split(","))
+    cutoffs = _cutoffs(args.cutoffs)
+    if not 0.0 <= args.twist < 2.0 * math.pi:
+        raise _InputError(f"twist must lie in [0, 2 pi), got {args.twist}")
 
     def factory(n):
         ref = DiracModel(n, twist=args.twist)

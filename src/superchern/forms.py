@@ -344,6 +344,40 @@ def wedge_mul(a: GradedMatrixForm, b: GradedMatrixForm) -> GradedMatrixForm:
     return GradedMatrixForm(a.chart, a.grading, out)
 
 
+# Largest fibre rank that _fibre_mul and _colsum_max unroll over the fibre
+# axes.  One product of (1024, m, m) stacks, matmul against the unrolled
+# kernel (two cores, numpy 2.4, OpenBLAS): 0.012 -> 0.009 ms at m = 1,
+# 0.48 -> 0.056 ms at m = 2, 0.71 -> 0.18 ms at m = 3, 0.74 -> 0.45 ms at
+# m = 4, 1.1 -> 4.9 ms at m = 8.  Rank 3 stays on matmul all the same, so
+# that the rank-3 Chern-form checks keep matmul's bits.
+_ELEMENTWISE_MAX_RANK = 2
+
+
+def _fibre_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Pointwise fibre product p @ q of stacks of shape ``(..., m, m)``.
+
+    numpy's matmul makes one BLAS call per matrix of the stack, which is
+    nearly all of the cost at rank <= 2; there each entry is summed
+    elementwise over the grid, sum_k p[..., r, k] q[..., k, c] in order of k.
+    """
+    m = p.shape[-1]
+    if m > _ELEMENTWISE_MAX_RANK:
+        return p @ q
+    out = np.empty(np.broadcast_shapes(p.shape, q.shape), np.result_type(p, q))
+    for r in range(m):
+        for c in range(m):
+            entry = out[..., r, c]
+            np.multiply(p[..., r, 0], q[..., 0, c], out=entry)
+            for k in range(1, m):
+                entry += p[..., r, k] * q[..., k, c]
+    return out
+
+
+def _nonzero_components(x: np.ndarray) -> np.ndarray:
+    """Per leading index, whether the component has a nonzero entry."""
+    return x.reshape(x.shape[0], -1).any(axis=1)
+
+
 def _wedge_data(x: np.ndarray, y: np.ndarray, table: np.ndarray) -> np.ndarray:
     """wedge_mul on component arrays of shape ``(2**dim, ..., m, m)``.
 
@@ -351,21 +385,20 @@ def _wedge_data(x: np.ndarray, y: np.ndarray, table: np.ndarray) -> np.ndarray:
     """
     nc = x.shape[0]
     signs = _wedge_signs(nc.bit_length() - 1)
+    x_live = _nonzero_components(x)
+    y_live = _nonzero_components(y)
     out = np.zeros_like(x)
     for i in range(nc):
-        xi = x[i]
-        if not xi.any():
+        if not x_live[i]:
             continue
+        xi = x[i]
         xi_conj = xi * table
         for j in range(nc):
             s = signs[i, j]
-            if s == 0:
-                continue
-            yj = y[j]
-            if not yj.any():
+            if s == 0 or not y_live[j]:
                 continue
             left = xi_conj if _popcount(j) % 2 else xi
-            contrib = left @ yj
+            contrib = _fibre_mul(left, y[j])
             if s == 1:
                 out[i | j] += contrib
             else:
@@ -425,14 +458,19 @@ def trace_wedge(w: np.ndarray, x: GradedMatrixForm, y: GradedMatrixForm) -> Grad
     nc = x.chart.n_components
     signs = _wedge_signs(x.chart.dim)
     table = x.grading.conj_table()
+    y_live = _nonzero_components(y.data)
     # y_j w, or None where y_j = 0
-    yw = [np.tensordot(yj, w, axes=(-1, 0)) if yj.any() else None for yj in y.data]
+    yw = [
+        np.tensordot(yj, w, axes=(-1, 0)) if live else None
+        for yj, live in zip(y.data, y_live)
+    ]
+    x_live = _nonzero_components(x.data)
     out = GradedMatrixForm.zeros(x.chart, Grading.trivial(1))
     acc = out.data[..., 0, 0]
     for i in range(nc):
-        xi = x.data[i]
-        if not xi.any():
+        if not x_live[i]:
             continue
+        xi = x.data[i]
         left = (xi, xi * table)
         for j in range(nc):
             s = signs[i, j]
@@ -588,15 +626,38 @@ def _unit(x: np.ndarray) -> np.ndarray:
 def _nilpotent_exp(x: np.ndarray, table: np.ndarray) -> np.ndarray:
     """exp(x) = sum_{k <= dim} x^k / k! for x without a degree-0 part.
 
-    Exact: a product of k such factors has form degree at least k.
+    Exact: a product of k such factors has form degree at least k.  numpy
+    divides a complex array by a real k as a multiplication by 1 / k, so
+    the cheaper in-place product below has the bits of the division.
     """
     dim = x.shape[0].bit_length() - 1
-    out = x + _unit(x)
+    out = x.copy()
+    diag = np.einsum("...rr->...r", out[0])
+    diag += 1.0
     term = x
     for k in range(2, dim + 1):
-        term = _wedge_data(term, x, table) / k
+        term = _wedge_data(term, x, table)
+        term *= 1.0 / k
         out += term
     return out
+
+
+def _colsum_max(x: np.ndarray) -> np.ndarray:
+    """max_c sum_r x[..., r, c]: the matrix 1-norm of a real stack x >= 0.
+
+    Unrolled up to _ELEMENTWISE_MAX_RANK, adding rows in the order of
+    x.sum(axis=-2), so the result has its bits.
+    """
+    m = x.shape[-1]
+    if m > _ELEMENTWISE_MAX_RANK:
+        return x.sum(axis=-2).max(axis=-1)
+    best = None
+    for c in range(m):
+        col = x[..., 0, c]
+        for r in range(1, m):
+            col = col + x[..., r, c]
+        best = col if best is None else np.maximum(best, col)
+    return best
 
 
 def _odd_max(mag: np.ndarray, table: np.ndarray) -> float:
@@ -711,8 +772,8 @@ def algebra_exp(a: GradedMatrixForm, strict_parity: bool = False) -> GradedMatri
         )
     a0 = a.data[0]
     lam = np.einsum("...rr->...", a0) / m
-    spread = np.abs(a0 - lam[..., None, None] * np.eye(m)).sum(axis=-2).max(axis=-1)
-    norm1 = mag.sum(axis=0).sum(axis=-2).max(axis=-1)
+    spread = _colsum_max(np.abs(a0 - lam[..., None, None] * np.eye(m)))
+    norm1 = _colsum_max(mag.sum(axis=0))
     if np.all(spread <= _UNIT_ROUNDOFF * norm1):
         x = a.data.copy()
         x[0] = 0.0

@@ -1,19 +1,6 @@
 import numpy as np
 import pytest
 
-from superchern.errors import ParityWarning, ValidationWarning
-
-
-@pytest.fixture(autouse=True)
-def _quiet_diagnostics():
-    """Parity/hermiticity diagnostics are warn-by-default; keep test logs clean."""
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ParityWarning)
-        warnings.simplefilter("ignore", ValidationWarning)
-        yield
-
 
 @pytest.fixture
 def rng():

@@ -159,6 +159,15 @@ class TestCLI:
         assert lines[0].split(",")[:2] == ["table", "N"]
         assert len(lines) > 10
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--cutoffs", "8,abc"), ("--cutoffs", "0"), ("--cutoffs", "8,-4"), ("--twist", "nan")],
+    )
+    def test_bad_spectral_flag_is_input_error(self, flag, value):
+        res = run_cli("spectral", "table", flag, value)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+
     def test_dk_apply_chain(self, tmp_path, rng):
         from superchern.scenes import gapped_superconnection
         from superchern.serialize import encode_array

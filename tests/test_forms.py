@@ -190,7 +190,8 @@ class TestAlgebraExp:
         grading = Grading.balanced(1, 1)
         field = band_limited_field(rng, ch, (2, 2), 2, 1.0)
         a = GradedMatrixForm.from_matrix_field(ch, grading, field)
-        e = algebra_exp(a)
+        with pytest.warns(ParityWarning):  # a generic field has gamma-odd entries
+            e = algebra_exp(a)
         ref = np.stack([sla.expm(m) for m in field])
         assert np.abs(e.component(()) - ref).max() < 1e-12
 
@@ -392,6 +393,77 @@ class TestTraceWedge:
         assert sup_norm(trace_wedge(gamma, x, y) - supertrace(prod)) < 1e-13
         sigma = _sigma_weight(grading.rank)
         assert sup_norm(trace_wedge(sigma, x, y) - tr_sigma(prod)) < 1e-13
+
+
+def _complex_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _matmul_wedge(x, y, table):
+    """_wedge_data's product with one matmul per component pair."""
+    nc = x.shape[0]
+    signs = forms._wedge_signs(nc.bit_length() - 1)
+    out = np.zeros_like(x)
+    for i in range(nc):
+        for j in range(nc):
+            if signs[i, j] == 0 or not (x[i].any() and y[j].any()):
+                continue
+            left = x[i] * table if bin(j).count("1") % 2 else x[i]
+            if signs[i, j] == 1:
+                out[i | j] += left @ y[j]
+            else:
+                out[i | j] -= left @ y[j]
+    return out
+
+
+class TestFibreProduct:
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize(
+        "p_shape, q_shape",
+        [((64,), (64,)), ((3, 1, 5), (4, 5)), ((2, 7), ()), ((), (6,))],
+    )
+    def test_small_rank_matches_matmul(self, rng, m, p_shape, q_shape):
+        p = _complex_stack(rng, p_shape + (m, m))
+        q = _complex_stack(rng, q_shape + (m, m))
+        ref = np.matmul(p, q)
+        got = forms._fibre_mul(p, q)
+        assert got.shape == ref.shape
+        norms = np.linalg.norm(p, axis=(-2, -1)).max() * np.linalg.norm(q, axis=(-2, -1)).max()
+        assert np.abs(got - ref).max() <= 4 * 2.0**-53 * norms
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_larger_rank_is_matmul(self, rng, m):
+        p = _complex_stack(rng, (3, 1, 16, m, m))
+        q = _complex_stack(rng, (4, 16, m, m))
+        assert np.array_equal(forms._fibre_mul(p, q), np.matmul(p, q))
+
+    def test_rank3_wedge_keeps_matmul_bits(self):
+        ch = TorusChart(2, 8)
+        grading = Grading.balanced(2, 1)
+        x, y = random_form(ch, grading, 50), random_form(ch, grading, 51)
+        x.data[1] = 0.0  # a zero component is skipped on both sides
+        table = grading.conj_table()
+        assert np.array_equal(
+            forms._wedge_data(x.data, y.data, table), _matmul_wedge(x.data, y.data, table)
+        )
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_colsum_max_keeps_reduction_bits(self, rng, m):
+        x = np.abs(_complex_stack(rng, (4, 16, m, m))).sum(axis=0)
+        assert np.array_equal(forms._colsum_max(x), x.sum(axis=-2).max(axis=-1))
+
+    @pytest.mark.parametrize(
+        "grading", [Grading.trivial(1), Grading.balanced(1, 1), Grading.balanced(2, 1)]
+    )
+    def test_nilpotent_exp_keeps_division_bits(self, grading):
+        x = _nilpotent(TorusChart(3, 4), grading, 52).data
+        table = grading.conj_table()
+        ref = x + forms._unit(x)
+        term = x
+        for k in (2, 3):
+            term = forms._wedge_data(term, x, table) / k
+            ref += term
+        assert np.array_equal(forms._nilpotent_exp(x, table), ref)
 
 
 class TestHarmonicAndPeriods:

@@ -4,7 +4,7 @@ products, gauge action."""
 import numpy as np
 import pytest
 
-from superchern.errors import ChartMismatchError, ParityError
+from superchern.errors import ChartMismatchError, ParityError, ValidationWarning
 from superchern.forms import (
     GradedMatrixForm,
     Grading,
@@ -72,7 +72,8 @@ class TestCurvature:
     def test_parity_validation(self, rng):
         bad0 = band_limited_field(rng, CH1, (2, 2), 1, 1.0)  # not hermitian/odd
         a = Superconnection.from_terms(CH1, G11, bad0)
-        problems = a.validate(strict=False)
+        with pytest.warns(ValidationWarning):
+            problems = a.validate(strict=False)
         assert problems
         with pytest.raises(ParityError):
             a.validate(strict=True)
