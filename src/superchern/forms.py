@@ -663,13 +663,24 @@ def _colsum_max(x: np.ndarray) -> np.ndarray:
 def _odd_max(mag: np.ndarray, table: np.ndarray) -> float:
     """Largest |entry| of the total-odd part, from mag = |components|.
 
-    The total-odd part of a component keeps the entries whose gamma parity
-    differs from its form degree's and zeroes the rest, so no copy is needed.
+    Entry (r, c) of a component is total-odd when its gamma parity
+    (table < 0) differs from the component's form-degree parity.  Indices
+    fall into runs of equal gamma sign, so the odd entries of a component
+    are whole run-by-run blocks, and each block's maximum is one strided
+    .max() on a view: no mask, no copy.
     """
-    nc = mag.shape[0]
-    degree_odd = np.array([_popcount(i) % 2 for i in range(nc)], dtype=bool)
-    odd = (table < 0) != degree_odd.reshape((nc,) + (1,) * (mag.ndim - 1))
-    return float((mag * odd).max())
+    sign = table[0].tolist()
+    cuts = [0] + [c for c in range(1, len(sign)) if sign[c] != sign[c - 1]] + [len(sign)]
+    runs = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    degree_odd = [_popcount(i) % 2 == 1 for i in range(mag.shape[0])]
+    best = 0.0
+    for rows in runs:
+        for cols in runs:
+            gamma_odd = sign[rows.start] != sign[cols.start]
+            for i, odd in enumerate(degree_odd):
+                if gamma_odd != odd:
+                    best = max(best, mag[i, ..., rows, cols].max())
+    return float(best)
 
 
 def _graded_expm_block(x: np.ndarray, table: np.ndarray) -> np.ndarray:

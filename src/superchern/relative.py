@@ -264,19 +264,19 @@ def index_projectors(
     s1 = eye - t0 @ q
     shape = t0.shape[:-2]
     big = np.zeros(shape + (2 * m, 2 * m), dtype=np.complex128)
+    corner = (eye + s0) @ q
     l = big.copy()
     l[..., :m, :m] = s0
-    l[..., :m, m:] = -(eye + s0) @ q
+    l[..., :m, m:] = -corner
     l[..., m:, :m] = t0
     l[..., m:, m:] = s1
     l_inv = big.copy()
     l_inv[..., :m, :m] = s0
-    l_inv[..., :m, m:] = (eye + s0) @ q
+    l_inv[..., :m, m:] = corner
     l_inv[..., m:, :m] = -t0
     l_inv[..., m:, m:] = s1
-    p1 = big.copy()
-    p1[..., :m, :m] = eye
-    p = l_inv @ p1 @ l
+    # L^{-1} P1 L with P1 = 1 (+) 0, which keeps only these blocks
+    p = l_inv[..., :, :m] @ l[..., :m, :]
     p0 = big.copy()
     p0[..., m:, m:] = eye
     return IndexProjectors(q=q, s0=s0, s1=s1, l=l, l_inv=l_inv, p=p, p0=p0)
@@ -297,21 +297,19 @@ def relative_chern_pair(
 
 
 def _projected_connection(
-    proj_field: np.ndarray, omega_axes: list, chart: TorusChart, grading: Grading
+    p: np.ndarray, omega_axes: list, chart: TorusChart, grading: Grading
 ) -> Superconnection:
-    """Superconnection d + [P w P + (1-P) w (1-P) + 2 P dP - dP] for a projector field P."""
-    m = grading.rank
+    """Superconnection d + [P w P + (1-P) w (1-P) + 2 P dP - dP] for a projector field P.
+
+    omega_axes holds w per axis, or None on an axis where it vanishes.
+    """
     coeff = GradedMatrixForm.zeros(chart, grading)
-    eye = np.eye(m)
-    p = np.broadcast_to(proj_field, chart.shape + (m, m))
-    p_perp = eye - p
-    p_form = GradedMatrixForm.from_matrix_field(chart, grading, p)
-    dp = exterior_d(p_form)
-    for axis in range(chart.dim):
-        w = omega_axes[axis] if omega_axes else 0.0
+    dp = exterior_d(GradedMatrixForm.from_matrix_field(chart, grading, p))
+    for axis, w in enumerate(omega_axes):
         dpa = dp.data[1 << axis]
         blend = 2.0 * (p @ dpa) - dpa
-        if isinstance(w, np.ndarray):
+        if w is not None:
+            p_perp = np.eye(grading.rank) - p
             blend = blend + p @ w @ p + p_perp @ w @ p_perp
         coeff.data[1 << axis] = blend
     return Superconnection(coeff)
@@ -327,6 +325,13 @@ def index_character(
     paired with a zero second component, on the doubled bundle A~ = A (+) A
     with flipped grading on the second copy.  The form vanishes on the core
     of U and its degree-2 periods are 2 pi i times the local index.
+
+    Only these supertraces are formed.  P0 = 0 (+) 1 is constant and the
+    connection part w (+) w of A~_[1] is block-diagonal, so
+    P0 o A~_[1] o P0 = 0 (+) (d + w); the second copy carries -gamma, so the
+    P0 term is exactly -Str_gamma exp(-F(d + w)), one exponential at rank m.
+    The P term contracts each heat component H_I with the weight
+    W = P Gamma P (Gamma the doubled grading): Str(P H_I P) = tr(W H_I).
     """
     if c is None:
         gap = core_min_gap(a, u)
@@ -340,23 +345,18 @@ def index_character(
     omega_axes = []
     for axis in range(chart.dim):
         w = a.coeff.data[1 << axis]
-        big = np.zeros(chart.shape + (2 * m, 2 * m), dtype=np.complex128)
-        big[..., :m, :m] = w
-        big[..., m:, m:] = w
+        big = None
+        if w.any():
+            big = np.zeros(chart.shape + (2 * m, 2 * m), dtype=np.complex128)
+            big[..., :m, :m] = w
+            big[..., m:, m:] = w
         omega_axes.append(big)
-
-    def sandwiched_heat(proj):
-        conn = _projected_connection(proj, omega_axes, chart, grading2)
-        heat = algebra_exp(-curvature(conn))
-        proj_b = np.broadcast_to(proj, chart.shape + (2 * m, 2 * m))
-        out = GradedMatrixForm.zeros(chart, grading2)
-        for mask in range(chart.n_components):
-            out.data[mask] = proj_b @ heat.data[mask] @ proj_b
-        return out
-
-    term_p = sandwiched_heat(pr.p)
-    term_p0 = sandwiched_heat(pr.p0)
-    chi = 0.5 * (supertrace(term_p) - supertrace(term_p0))
+    heat = algebra_exp(-curvature(_projected_connection(pr.p, omega_axes, chart, grading2)))
+    weight = (pr.p * grading2.signature) @ pr.p
+    heat0 = algebra_exp(-curvature(Superconnection(a.coeff.degree_part(1))))
+    chi = supertrace(heat0)
+    chi.data[..., 0, 0] += np.einsum("...ab,i...ba->i...", weight, heat.data)
+    chi.data *= 0.5
     zero = GradedMatrixForm.zeros(chart, Grading.trivial(1))
     return RelativeForm(chi, zero)
 

@@ -8,7 +8,9 @@ room to shrink further as the grid is refined.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -32,23 +34,57 @@ __all__ = [
 ]
 
 
-def band_limited_field(rng, chart: TorusChart, trailing, max_mode=2, amp=1.0):
-    """Complex field with Fourier support |k_a| <= max_mode, O(amp) entries."""
-    trailing = tuple(trailing)
-    out = np.zeros(chart.shape + trailing, dtype=np.complex128)
-    if chart.dim == 0:
-        coeff = amp * (rng.standard_normal(trailing) + 1j * rng.standard_normal(trailing))
-        return out + coeff
-    modes = list(itertools.product(range(-max_mode, max_mode + 1), repeat=chart.dim))
+# Largest phase table (one grid array per mode) that _phase_tables keeps;
+# bigger ones are built one mode at a time on every call, as they would not
+# fit in memory at once on fine T^3 grids.  The suites' largest table, T^3
+# N32 with max_mode 1, takes 14 MB.
+_PHASE_CACHE_BYTES = 1 << 24
+
+
+def _mode_phases(chart: TorusChart, max_mode: int):
+    """exp(2 pi i k.x) on the grid, per mode |k_a| <= max_mode in product order."""
     coords = [chart.coordinate(a) for a in range(chart.dim)]
-    norm = amp / len(modes) ** 0.5
-    for k in modes:
-        coeff = norm * (rng.standard_normal(trailing) + 1j * rng.standard_normal(trailing))
+    for k in itertools.product(range(-max_mode, max_mode + 1), repeat=chart.dim):
         phase = np.zeros(chart.shape)
         for a, ka in enumerate(k):
             phase = phase + ka * coords[a]
-        out += np.exp(2j * np.pi * phase)[(...,) + (None,) * len(trailing)] * coeff
-    return out
+        yield np.exp(2j * np.pi * phase)
+
+
+@functools.lru_cache(maxsize=8)
+def _phase_tables(dim: int, grid_size: int, max_mode: int) -> np.ndarray:
+    """_mode_phases stacked into one read-only array, kept for reuse."""
+    tables = np.stack(list(_mode_phases(TorusChart(dim, grid_size), max_mode)))
+    tables.setflags(write=False)
+    return tables
+
+
+def band_limited_field(rng, chart: TorusChart, trailing, max_mode=2, amp=1.0):
+    """Complex field with Fourier support |k_a| <= max_mode, O(amp) entries.
+
+    The phases exp(2 pi i k.x) of a (dim, grid, max_mode) triple are computed
+    once and cached read-only (tables up to _PHASE_CACHE_BYTES); the field
+    is summed mode by mode, each trailing entry over a contiguous grid
+    array, with the arithmetic of the plain per-mode sum, so the values do
+    not depend on the cache.
+    """
+    trailing = tuple(trailing)
+    if chart.dim == 0:
+        coeff = amp * (rng.standard_normal(trailing) + 1j * rng.standard_normal(trailing))
+        return np.zeros(trailing, dtype=np.complex128) + coeff
+    n_modes = (2 * max_mode + 1) ** chart.dim
+    if n_modes * chart.grid_size**chart.dim * 16 <= _PHASE_CACHE_BYTES:
+        phases = _phase_tables(chart.dim, chart.grid_size, max_mode)
+    else:
+        phases = _mode_phases(chart, max_mode)
+    norm = amp / n_modes**0.5
+    entries = math.prod(trailing)
+    flat = np.zeros((entries,) + chart.shape, dtype=np.complex128)
+    per_entry = (entries,) + (1,) * chart.dim
+    for phase in phases:
+        coeff = norm * (rng.standard_normal(trailing) + 1j * rng.standard_normal(trailing))
+        flat += phase * coeff.reshape(per_entry)
+    return np.ascontiguousarray(flat.reshape(entries, -1).T).reshape(chart.shape + trailing)
 
 
 def _hermitize(field):

@@ -1,5 +1,7 @@
 """Graded form algebra: wedge, derivative, supertrace, exponential, periods."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -464,6 +466,28 @@ class TestFibreProduct:
             term = forms._wedge_data(term, x, table) / k
             ref += term
         assert np.array_equal(forms._nilpotent_exp(x, table), ref)
+
+
+def _odd_mask(mag, table):
+    """Broadcast total-odd parity mask: gamma parity differs from the degree's."""
+    nc = mag.shape[0]
+    degree_odd = np.array([bin(i).count("1") % 2 for i in range(nc)], dtype=bool)
+    return (table < 0) != degree_odd.reshape((nc,) + (1,) * (mag.ndim - 1))
+
+
+class TestOddMax:
+    @pytest.mark.parametrize("dim", [0, 1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_equals_masked_maximum(self, rng, dim, m):
+        ch = TorusChart(dim, 4)
+        for signature in itertools.product([1, -1], repeat=m):
+            table = Grading(signature).conj_table()
+            shape = (ch.n_components,) + ch.shape + (m, m)
+            mag = np.abs(_complex_stack(rng, shape))
+            odd = _odd_mask(mag, table)
+            # even entries dominate, so reading one of them changes the value
+            mag = np.where(odd, mag, 10.0 * mag + 10.0)
+            assert forms._odd_max(mag, table) == float((mag * odd).max())
 
 
 class TestHarmonicAndPeriods:

@@ -9,9 +9,12 @@ from superchern.forms import (
     GradedMatrixForm,
     Grading,
     TorusChart,
+    algebra_exp,
+    exterior_d,
     harmonic_coefficients,
     integrate,
     sup_norm,
+    supertrace,
 )
 from superchern.relative import (
     OpenSet,
@@ -30,10 +33,12 @@ from superchern.relative import (
 )
 from superchern.scenes import (
     gapped_superconnection,
+    random_conn1,
     random_scalar_form,
+    random_superconnection,
     winding_superconnection,
 )
-from superchern.superconn import Superconnection
+from superchern.superconn import Superconnection, curvature
 
 CH2 = TorusChart(2, 32)
 G11 = Grading.balanced(1, 1)
@@ -145,6 +150,13 @@ class TestIndexProjectors:
         assert rep["ok"]
         assert rep["p_minus_p0_on_core"] < 1e-10
 
+    def test_projector_is_conjugated_p1(self):
+        _, a, _, u, _ = winding_testbed(n=32)
+        pr = index_projectors(a, u, 0.75 * core_min_gap(a, u), ("gauss", 10.5))
+        p1 = np.diag([1.0, 1.0, 0.0, 0.0])
+        ref = pr.l_inv @ p1 @ pr.l
+        assert np.abs(pr.p - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_winding_family_profile(self):
         chart, a, _, u, _ = winding_testbed(n=64)
         gap = core_min_gap(a, u)
@@ -157,11 +169,57 @@ class TestIndexProjectors:
         assert profile[u.core].max(initial=0) == 0
 
 
+def sandwich_index_character(a, u, c, xi_shape):
+    """(1/2) Str(P e^{-F_P} P - P0 e^{-F_P0} P0), both terms on the doubled bundle.
+
+    The defining formula term by term: each projector gets its connection
+    d + P w~ P + (1-P) w~ (1-P) + 2 P dP - dP, a rank-2m exponential and the
+    product P H_I P before the supertrace of the grading gamma (+) -gamma.
+    """
+    pr = index_projectors(a, u, c, xi_shape)
+    chart, m = a.chart, a.rank
+    grading2 = a.grading.concat(a.grading.flip())
+    eye = np.eye(2 * m)
+
+    def term(proj):
+        proj = np.broadcast_to(proj, chart.shape + (2 * m, 2 * m))
+        dp = exterior_d(GradedMatrixForm.from_matrix_field(chart, grading2, proj))
+        coeff = GradedMatrixForm.zeros(chart, grading2)
+        for axis in range(chart.dim):
+            w = np.zeros(chart.shape + (2 * m, 2 * m), dtype=complex)
+            w[..., :m, :m] = w[..., m:, m:] = a.coeff.data[1 << axis]
+            dpa = dp.data[1 << axis]
+            coeff.data[1 << axis] = (
+                2.0 * proj @ dpa - dpa + proj @ w @ proj + (eye - proj) @ w @ (eye - proj)
+            )
+        heat = algebra_exp(-curvature(Superconnection(coeff)))
+        return supertrace(GradedMatrixForm(chart, grading2, proj @ heat.data @ proj))
+
+    return 0.5 * (term(pr.p) - term(pr.p0))
+
+
 class TestIndexCharacter:
     def test_globally_invertible_vanishes(self, rng):
         a = gapped_superconnection(rng, CH2, gap=1.2, wiggle=0.04, phase_amp=0.12, amp1=0.1)
         chi = index_character(a, OpenSet.whole(CH2), xi_shape=("gauss", 9.0))
         assert chi.omega.sup_norm() < 1e-9
+
+    @pytest.mark.parametrize("scene", ["winding-omega", "unbalanced-2-1"])
+    def test_matches_sandwich_formula(self, rng, scene):
+        # the P0 identity and the weight contraction against the defining formula
+        if scene == "winding-omega":
+            chart, a, _, u, _ = winding_testbed(n=32)
+            conn = random_conn1(rng, chart, G11, amp=0.5, max_mode=1)
+            a = Superconnection.from_terms(chart, G11, a.term0_field(), conn)
+            c, xi_shape = 0.75 * core_min_gap(a, u), ("gauss", 10.5)
+        else:
+            # Str(1) = 1 on a (2|1) bundle, and its degree-0 term has a kernel
+            a = random_superconnection(rng, CH2, Grading.balanced(2, 1), amp0=0.8, amp1=0.5)
+            u, c, xi_shape = OpenSet.empty(CH2), 0.3, "bump"
+        chi = index_character(a, u, c=c, xi_shape=xi_shape).omega
+        ref = sandwich_index_character(a, u, c, xi_shape)
+        assert chi.sup_norm() > 1e-3
+        assert sup_norm(chi - ref) <= 1e-13 * ref.sup_norm()
 
     def test_winding_quantization(self):
         chart, a, q, u, zeros = winding_testbed(n=256)
