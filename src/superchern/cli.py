@@ -25,11 +25,13 @@ import numpy as np
 
 from .errors import SceneError, SuperchernError
 from .serialize import (
+    chain_from_dict,
     cocycle_from_dict,
     cocycle_to_dict,
     load_scene,
     open_set_from_dict,
     save_scene,
+    stabilizer_from_dict,
     superconnection_from_dict,
 )
 from .suites import SUITES, Report, SuiteConfig, run_suite
@@ -126,14 +128,14 @@ def _cmd_dk_chain(args) -> int:
 
     try:
         cocycle = cocycle_from_dict(load_scene(args.cocycle))
-        chain = load_scene(args.chain)
+        ops = chain_from_dict(load_scene(args.chain))
     except SceneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     trail = []
     op = None
     try:
-        for step in chain.get("ops", []):
+        for step in ops:
             op = step.get("op")
             if op == "add":
                 other = cocycle_from_dict(load_scene(step["with"]))
@@ -144,12 +146,12 @@ def _cmd_dk_chain(args) -> int:
                 target = superconnection_from_dict(step["superconnection"])
                 cocycle = shift_superconnection(cocycle, target)
             elif op == "stabilize":
-                st = _stabilizer_from_dict(step["stabilizer"], cocycle.chart)
+                st = stabilizer_from_dict(step["stabilizer"], cocycle.chart)
                 cocycle = stabilize(cocycle, st)
             elif op == "kernel-reduce":
                 cocycle = kernel_reduce(cocycle, rank_tol=step.get("rank_tol", 1e-8))
             elif op == "normalize":
-                st = _stabilizer_from_dict(step["stabilizer"], cocycle.chart)
+                st = stabilizer_from_dict(step["stabilizer"], cocycle.chart)
                 cocycle = normalize_q(cocycle, st)
             elif op == "product":
                 other = cocycle_from_dict(load_scene(step["with"]))
@@ -175,15 +177,6 @@ def _cmd_dk_chain(args) -> int:
         json.dump(trail, sys.stdout, indent=1)
         print()
     return EXIT_PASS
-
-
-def _stabilizer_from_dict(payload: dict, chart):
-    from .dk import Stabilizer
-    from .serialize import decode_array
-
-    s_field = decode_array(payload["s"], chart)
-    conns = [decode_array(enc, chart) for enc in payload.get("conn", [])]
-    return Stabilizer(int(payload["e_rank"]), s_field, conns)
 
 
 def _cmd_relative_index(args) -> int:

@@ -287,18 +287,6 @@ class GradedMatrixForm:
     def wedge(self, other: "GradedMatrixForm") -> "GradedMatrixForm":
         return wedge_mul(self, other)
 
-    def gamma_conj(self) -> "GradedMatrixForm":
-        """gamma . a . gamma componentwise."""
-        return GradedMatrixForm(
-            self.chart, self.grading, self.data * self.grading.conj_table()
-        )
-
-    def mat_adjoint(self) -> "GradedMatrixForm":
-        """Componentwise conjugate transpose of the matrix factor."""
-        return GradedMatrixForm(
-            self.chart, self.grading, np.conj(np.swapaxes(self.data, -1, -2))
-        )
-
     def parity_split(self):
         """Split into total-even and total-odd parts (form degree xor gamma parity)."""
         even = self.zeros(self.chart, self.grading)

@@ -332,12 +332,20 @@ def index_character(
     P0 term is exactly -Str_gamma exp(-F(d + w)), one exponential at rank m.
     The P term contracts each heat component H_I with the weight
     W = P Gamma P (Gamma the doubled grading): Str(P H_I P) = tr(W H_I).
+
+    The window c defaults to half the gap on the core of U; a window that is
+    not finite and positive (no gap, or an empty core) raises
+    NotInvertibleError.
     """
     if c is None:
         gap = core_min_gap(a, u)
         if not gap > 0:
             raise NotInvertibleError("no spectral gap on the core of U", gap)
         c = 0.5 * gap
+    if not (math.isfinite(c) and c > 0):
+        raise NotInvertibleError(
+            f"parametrix window c = {c} must be finite and positive", core_min_gap(a, u)
+        )
     pr = index_projectors(a, u, c, xi_shape)
     chart = a.chart
     m = a.rank

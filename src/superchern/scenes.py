@@ -4,6 +4,10 @@ Everything here is deterministic given a numpy Generator; fields are built
 from a handful of low Fourier modes so spectral differentiation and the
 identity residuals they feed stay well inside the declared tolerances, with
 room to shrink further as the grid is refined.
+
+The second half holds one builder per identity family.  The verification
+suites and the acceptance criteria both build their scenes through these,
+each with its own seeds and family sizes, so a family's scene exists once.
 """
 
 from __future__ import annotations
@@ -31,6 +35,22 @@ __all__ = [
     "random_omega",
     "random_scalar_form",
     "random_gauge",
+    "closedness_scene",
+    "eta_endpoints",
+    "stabilization_scene",
+    "random_cocycle",
+    "gapped_cocycle",
+    "random_stabilizer",
+    "gapped_odd_superconnection",
+    "relative_complex_scene",
+    "winding_testbed",
+    "invertible_pair",
+    "composition_scene",
+    "summability_scene",
+    "cyclicity_scene",
+    "duhamel_scene",
+    "gerbe_scene",
+    "twisted_scene",
 ]
 
 
@@ -278,3 +298,221 @@ def random_gauge(rng, chart, grading: Grading, amp=0.6, max_mode=2):
             h[..., idx[:, None], idx[None, :]] = _hermitize(blk)
     u = expm_batched(1j * h)
     return GaugeTransform(chart, grading, u)
+
+
+# -- identity-family scenes, shared by the suites and the acceptance gate ------
+
+
+def closedness_scene(seed, dim, grid_size, grading: Grading):
+    """Superconnection A and form x for Ch closedness and [A, x] closedness.
+
+    Seeded on its own, so the same seed on a refined grid draws the same
+    Fourier coefficients and the residuals form a grid-refinement ramp.
+    """
+    chart = TorusChart(dim, grid_size)
+    rng = np.random.default_rng(seed)
+    amp = 0.4 if dim == 1 else 0.28
+    a = random_superconnection(rng, chart, grading, amp0=amp, amp1=0.8 * amp, max_mode=1)
+    x = GradedMatrixForm(
+        chart,
+        grading,
+        np.stack(
+            [
+                band_limited_field(rng, chart, (grading.rank,) * 2, 1, 1.2 * amp)
+                for _ in range(chart.n_components)
+            ]
+        ),
+    )
+    return a, x
+
+
+def eta_endpoints(rng, chart, count):
+    """``count`` (1|1) superconnections for the eta transgression identities."""
+    grading = Grading.balanced(1, 1)
+    return [
+        random_superconnection(rng, chart, grading, amp0=0.22, amp1=0.16, max_mode=1)
+        for _ in range(count)
+    ]
+
+
+def stabilization_scene(rng, chart, rank, amp):
+    """A connection doubled to E (+) E and the same with the odd swap mass.
+
+    Both eta forms of the pair vanish identically: eta between the two and
+    eta from the massive one to infinity.
+    """
+    conn = random_conn1(rng, chart, Grading.trivial(rank), amp=amp, max_mode=2)
+    doubled = []
+    for w in conn:
+        big = np.zeros(chart.shape + (2 * rank, 2 * rank), dtype=np.complex128)
+        big[..., :rank, :rank] = w
+        big[..., rank:, rank:] = w
+        doubled.append(big)
+    grading = Grading.balanced(rank, rank)
+    mass = np.zeros((2 * rank, 2 * rank), dtype=np.complex128)
+    mass[:rank, rank:] = np.eye(rank)
+    mass[rank:, :rank] = np.eye(rank)
+    tilde = Superconnection.from_terms(chart, grading, None, doubled)
+    return tilde, Superconnection.from_terms(chart, grading, mass, doubled)
+
+
+def random_cocycle(rng, chart, amp0, amp1, omega_amp):
+    """Even cocycle (A, omega) with a random (1|1) superconnection."""
+    from .dk import DKCocycle
+
+    return DKCocycle(
+        random_superconnection(rng, chart, Grading.balanced(1, 1), amp0, amp1, 1),
+        random_omega(rng, chart, omega_amp, 1),
+    )
+
+
+def gapped_cocycle(rng, chart, wiggle, phase_amp, amp1, omega_amp):
+    """Even cocycle (A, omega) whose degree-0 term has min_gap >= 1."""
+    from .dk import DKCocycle
+
+    return DKCocycle(
+        gapped_superconnection(
+            rng, chart, gap=1.0, wiggle=wiggle, phase_amp=phase_amp, amp1=amp1
+        ),
+        random_omega(rng, chart, omega_amp, 1),
+    )
+
+
+def random_stabilizer(rng, chart, amp):
+    """Rank-one stabilizer of a (1|1) cocycle."""
+    from .dk import Stabilizer
+
+    return Stabilizer(1, *stabilizer_pair_scene(rng, chart, 1, 1, 1, amp=amp, max_mode=1))
+
+
+def gapped_odd_superconnection(rng, chart, shift):
+    """Ungraded rank-2 scene whose degree-0 term is shifted by ``shift`` * 1."""
+    base = random_odd_superconnection(rng, chart, 2, 0.3, 0.25, 1)
+    return Superconnection.from_terms(
+        chart,
+        Grading.trivial(2),
+        base.term0_field() + shift * np.eye(2),
+        [base.coeff.component((0,))],
+    )
+
+
+def relative_complex_scene(rng, chart):
+    """Open set U (the complement of one box) and a relative form (omega, sigma)."""
+    from .relative import OpenSet, RelativeForm
+
+    u = OpenSet.complement_of_boxes(chart, [((0.5, 0.5), 0.12, 0.22)])
+    rf = RelativeForm(
+        random_scalar_form(rng, chart, {0, 1, 2}, 0.8),
+        random_scalar_form(rng, chart, {0, 1}, 0.8),
+    )
+    return u, rf
+
+
+def winding_testbed(grid_size):
+    """Index testbed on T^2: T0 = [[0, conj q], [q, 0]], q = e^{2 pi i x} + e^{2 pi i y} - 1.
+
+    q has two simple zeros, at (1/6, 5/6) and (5/6, 1/6), of winding -1 and
+    +1; U is the complement of a box around each.  Returns (A, q, U, zeros).
+    """
+    from .relative import OpenSet
+
+    chart = TorusChart(2, grid_size)
+    x, y = chart.coordinate(0), chart.coordinate(1)
+    q = np.exp(2j * np.pi * x) + np.exp(2j * np.pi * y) - 1.0
+    t0 = np.zeros(chart.shape + (2, 2), dtype=np.complex128)
+    t0[..., 1, 0] = q
+    t0[..., 0, 1] = np.conj(q)
+    a = Superconnection.from_terms(chart, Grading.balanced(1, 1), t0)
+    zeros = ((1 / 6, 5 / 6), (5 / 6, 1 / 6))
+    u = OpenSet.complement_of_boxes(chart, [(z, 0.10, 0.26) for z in zeros])
+    return a, q, u, zeros
+
+
+def invertible_pair(rng, chart):
+    """Two gapped superconnections: an invertible homotopy's endpoints."""
+    return tuple(
+        gapped_superconnection(rng, chart, gap=1.0, wiggle=0.05, phase_amp=0.2, amp1=0.15)
+        for _ in range(2)
+    )
+
+
+def _random_operator(rng, ref):
+    from .spectral import TruncatedOperator
+
+    m = ref.size
+    return TruncatedOperator(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)), ref)
+
+
+def _random_hermitian(rng, m, scale):
+    b = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    return scale * (b + b.conj().T)
+
+
+def composition_scene(rng):
+    """(F1, k1, F2, k2, s) for the weighted-norm composition inequality."""
+    from .spectral import DiracModel
+
+    ref = DiracModel(8, twist=float(rng.uniform(0, 2 * np.pi)))
+    f1 = _random_operator(rng, ref)
+    f2 = _random_operator(rng, ref)
+    k1, k2, s = (int(v) for v in rng.integers(-2, 3, 3))
+    return f1, k1, f2, k2, s
+
+
+def summability_scene(rng, ref):
+    """Doubled reference operator P and a random odd hermitian perturbation Q."""
+    from .spectral import TruncatedOperator
+
+    b = _random_hermitian(rng, 2 * ref.size, 0.3)
+    gam = np.diag(np.concatenate([np.ones(ref.size), -np.ones(ref.size)]))
+    b = 0.5 * (b - gam @ b @ gam)  # keep it odd
+    p = TruncatedOperator(ref.doubled(), ref, doubled=True)
+    return p, TruncatedOperator(b, ref, doubled=True)
+
+
+def cyclicity_scene(rng, ref):
+    """(F1, P, F2): two random operators around the reference operator P."""
+    from .spectral import TruncatedOperator
+
+    f1 = _random_operator(rng, ref)
+    f2 = _random_operator(rng, ref)
+    return f1, TruncatedOperator(ref.matrix(), ref), f2
+
+
+def duhamel_scene(rng):
+    """(D0, V): the cutoff-10 reference matrix and a hermitian direction."""
+    from .spectral import DiracModel
+
+    d0 = DiracModel(10).matrix()
+    return d0, _random_hermitian(rng, d0.shape[0], 0.25)
+
+
+def gerbe_scene():
+    """Coherent gerbe data on a 4-set circle cover with a common quadruple
+    core, and a copy with one triple phase off by exp(1e-3 i)."""
+    from .relative import OpenSet
+    from .twisted import CechCover, GerbeData
+
+    chart = TorusChart(1, 64)
+    cover = CechCover(
+        chart, [OpenSet.box(chart, (c,), 0.4, 0.48) for c in (0.0, 0.25, 0.5, 0.75)]
+    )
+    cover.check_coverage(1e-9)
+    assert cover.overlap_core((0, 1, 2, 3)).any()
+    ones = np.ones(chart.shape, dtype=np.complex128)
+    transitions = {key: ones for key in cover.pairs()}
+    mu = {key: np.exp(2j * np.pi / 3) * ones for key in cover.triples()}
+    mu_bad = dict(mu)
+    first = sorted(mu_bad)[0]
+    mu_bad[first] = mu_bad[first] * np.exp(1j * 1e-3)
+    return GerbeData(cover, transitions, mu), GerbeData(cover, transitions, mu_bad)
+
+
+def twisted_scene(rng, chart):
+    """(A, kappa, tau): a (1|1) superconnection, a curving 2-form and its shift."""
+    a = random_superconnection(
+        rng, chart, Grading.balanced(1, 1), amp0=0.2, amp1=0.12, max_mode=1, with_higher=False
+    )
+    kappa = random_scalar_form(rng, chart, {2}, amp=0.25, max_mode=1)
+    tau = random_scalar_form(rng, chart, {2}, amp=0.2, max_mode=1)
+    return a, kappa, tau

@@ -1,13 +1,16 @@
-"""JSON scene schema: forms, superconnections, cocycles, covers, reports.
+"""JSON scene schema: forms, superconnections, cocycles, stabilizers, open sets
+and relation chains.
 
 Coefficient tables are stored either as base64 grid samples (default: compact
 and lossless), as explicit re/im lists, or as finite Fourier mode lists that
 are expanded onto the grid at load time.  All payloads carry ``schema: 1``.
+Each scene type has one decoder; a malformed payload raises SceneError.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import json
 
 import numpy as np
@@ -28,16 +31,28 @@ __all__ = [
     "superconnection_from_dict",
     "cocycle_to_dict",
     "cocycle_from_dict",
-    "eta_result_to_dict",
-    "open_set_to_dict",
+    "stabilizer_from_dict",
     "open_set_from_dict",
-    "gerbe_to_dict",
-    "gerbe_from_dict",
-    "twisted_scene_to_dict",
-    "twisted_scene_from_dict",
+    "chain_from_dict",
     "save_scene",
     "load_scene",
 ]
+
+
+def _decoder(fn):
+    """Report the errors a malformed payload raises inside ``fn`` as SceneError."""
+
+    @functools.wraps(fn)
+    def decode(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            detail = " ".join(str(exc).split())
+            raise SceneError(
+                f"malformed payload ({fn.__name__}): {type(exc).__name__}: {detail}"
+            ) from exc
+
+    return decode
 
 
 def encode_array(arr: np.ndarray, encoding: str = "b64") -> dict:
@@ -59,6 +74,7 @@ def encode_array(arr: np.ndarray, encoding: str = "b64") -> dict:
     raise SceneError(f"unknown array encoding {encoding!r}")
 
 
+@_decoder
 def decode_array(payload: dict, chart: TorusChart | None = None) -> np.ndarray:
     enc = payload.get("enc")
     if enc == "b64":
@@ -112,6 +128,7 @@ def form_to_dict(form: GradedMatrixForm, encoding: str = "b64") -> dict:
     }
 
 
+@_decoder
 def form_from_dict(payload: dict) -> GradedMatrixForm:
     chart = _chart_from_dict(payload["chart"])
     grading = Grading(payload["grading"])
@@ -149,6 +166,7 @@ def superconnection_to_dict(a: Superconnection, encoding: str = "b64") -> dict:
     return payload
 
 
+@_decoder
 def superconnection_from_dict(payload: dict) -> Superconnection:
     chart = _chart_from_dict(payload["chart"])
     grading = Grading(payload["grading"])
@@ -180,6 +198,7 @@ def cocycle_to_dict(c, encoding: str = "b64") -> dict:
     }
 
 
+@_decoder
 def cocycle_from_dict(payload: dict):
     from .dk import DKCocycle
     from .oddk import OddCocycle
@@ -194,16 +213,6 @@ def cocycle_from_dict(payload: dict):
     if flavor == "odd":
         return OddCocycle(a, omega)
     raise SceneError(f"unknown cocycle flavor {flavor!r}")
-
-
-def eta_result_to_dict(res, encoding: str = "b64") -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "type": "eta_result",
-        "form": form_to_dict(res.form, encoding),
-        "est_error": res.est_error,
-        "truncation_T": res.truncation_T,
-    }
 
 
 def save_scene(path, payload: dict):
@@ -226,27 +235,7 @@ def load_scene(path) -> dict:
     return payload
 
 
-def open_set_to_dict(u) -> dict:
-    kinds = {spec[0] for spec in u.boxes} if u.boxes else set()
-    if not u.boxes:
-        kind = "whole" if bool(u.core.all()) else "empty"
-        return {"type": "open_set", "kind": kind, "boxes": []}
-    kind = "complement" if "complement" in kinds else "box"
-    return {
-        "type": "open_set",
-        "kind": kind,
-        "chart": {"dim": u.chart.dim, "grid_size": u.chart.grid_size},
-        "boxes": [
-            {
-                "center": list(np.atleast_1d(np.asarray(c, dtype=float))),
-                "core": np.asarray(core).tolist(),
-                "support": np.asarray(supp).tolist(),
-            }
-            for (_, c, core, supp) in u.boxes
-        ],
-    }
-
-
+@_decoder
 def open_set_from_dict(payload: dict, chart: TorusChart):
     from .relative import OpenSet
 
@@ -264,75 +253,24 @@ def open_set_from_dict(payload: dict, chart: TorusChart):
     raise SceneError(f"unknown open-set kind {kind!r}")
 
 
-def gerbe_to_dict(g, cs=None, curving=None, encoding: str = "b64") -> dict:
-    """Cover boxes, per-overlap phase fields, and optional connective data."""
-    cover = g.cover
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "type": "gerbe",
-        "chart": _chart_to_dict(cover.chart),
-        "cover": [open_set_to_dict(u) for u in cover.sets],
-        "transitions": {
-            f"{i},{j}": encode_array(fieldv, encoding)
-            for (i, j), fieldv in sorted(g.transitions.items())
-        },
-        "mu": {
-            f"{i},{j},{k}": encode_array(fieldv, encoding)
-            for (i, j, k), fieldv in sorted(g.mu.items())
-        },
-    }
-    if cs is not None:
-        payload["connective"] = {
-            f"{i},{j}": form_to_dict(form, encoding)
-            for (i, j), form in sorted(cs.forms.items())
-        }
-    if curving is not None:
-        payload["curving"] = [form_to_dict(k, encoding) for k in curving.kappas]
-    return payload
+@_decoder
+def stabilizer_from_dict(payload: dict, chart: TorusChart):
+    from .dk import Stabilizer
+
+    s_field = decode_array(payload["s"], chart)
+    conns = [decode_array(enc, chart) for enc in payload.get("conn", [])]
+    return Stabilizer(int(payload["e_rank"]), s_field, conns)
 
 
-def gerbe_from_dict(payload: dict):
-    from .twisted import CechCover, ConnectiveStructure, Curving, GerbeData
-
-    chart = _chart_from_dict(payload["chart"])
-    sets = [open_set_from_dict(spec, chart) for spec in payload["cover"]]
-    cover = CechCover(chart, sets)
-    transitions = {
-        tuple(int(x) for x in key.split(",")): decode_array(enc, chart)
-        for key, enc in payload.get("transitions", {}).items()
-    }
-    mu = {
-        tuple(int(x) for x in key.split(",")): decode_array(enc, chart)
-        for key, enc in payload.get("mu", {}).items()
-    }
-    g = GerbeData(cover, transitions, mu)
-    cs = None
-    if "connective" in payload:
-        forms = {
-            tuple(int(x) for x in key.split(",")): form_from_dict(item)
-            for key, item in payload["connective"].items()
-        }
-        cs = ConnectiveStructure(cover, forms)
-    curving = None
-    if "curving" in payload:
-        curving = Curving(cover, [form_from_dict(item) for item in payload["curving"]])
-    return g, cs, curving
-
-
-def twisted_scene_to_dict(a, kappa, encoding: str = "b64") -> dict:
-    """Global-curving scene: one superconnection plus the global 2-form."""
-    return {
-        "schema": SCHEMA_VERSION,
-        "type": "twisted_scene",
-        "superconnection": superconnection_to_dict(a, encoding),
-        "curving": form_to_dict(kappa, encoding),
-    }
-
-
-def twisted_scene_from_dict(payload: dict):
-    if payload.get("type") != "twisted_scene":
-        raise SceneError("payload is not a twisted scene")
-    return (
-        superconnection_from_dict(payload["superconnection"]),
-        form_from_dict(payload["curving"]),
-    )
+def chain_from_dict(payload: dict) -> list:
+    """The steps of a relation chain: objects with an ``op`` and numeric
+    ``tol`` / ``rank_tol`` where given."""
+    ops = payload.get("ops", [])
+    if not isinstance(ops, list) or not all(isinstance(step, dict) for step in ops):
+        raise SceneError("chain ops must be a list of objects")
+    for i, step in enumerate(ops, 1):
+        for key in ("tol", "rank_tol"):
+            value = step.get(key, 0.0)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise SceneError(f"chain step {i}: {key} must be a number, got {value!r}")
+    return ops

@@ -9,7 +9,7 @@ import pytest
 
 from superchern.dk import DKCocycle, curvature_class
 from superchern.forms import Grading, TorusChart, sup_norm
-from superchern.scenes import random_omega, random_superconnection
+from superchern.scenes import random_omega, random_superconnection, winding_testbed
 from superchern.serialize import (
     cocycle_from_dict,
     cocycle_to_dict,
@@ -22,11 +22,12 @@ from superchern.serialize import (
     superconnection_from_dict,
     superconnection_to_dict,
 )
-from superchern.superconn import Superconnection
 
 CH1 = TorusChart(1, 16)
 CH2 = TorusChart(2, 16)
 G11 = Grading.balanced(1, 1)
+BAD_TERM0 = {"enc": "lists", "shape": [3], "re": [1], "im": [0]}
+BAD_S = {"enc": "b64", "shape": [2], "data": "AAAA"}
 
 
 def run_cli(*args):
@@ -204,13 +205,14 @@ class TestCLI:
             sup_norm(curvature_class(result) - curvature_class(c)) < 1e-8
         )
 
-    def _chain_cli(self, tmp_path, rng, steps):
+    def _chain_cli(self, tmp_path, rng, steps, patch=None):
         c = DKCocycle(
             random_superconnection(rng, CH1, G11, amp0=0.3, amp1=0.2, max_mode=1),
             random_omega(rng, CH1, 0.4, 1),
         )
+        payload = cocycle_to_dict(c)
         scene = tmp_path / "c.json"
-        save_scene(scene, cocycle_to_dict(c))
+        save_scene(scene, patch(payload) if patch else payload)
         chain = tmp_path / "chain.json"
         save_scene(chain, {"type": "relation_chain", "ops": steps})
         return run_cli("dk", "apply-chain", "--cocycle", str(scene), "--chain", str(chain))
@@ -231,23 +233,14 @@ class TestCLI:
         assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
 
     def test_relative_index_cli(self, tmp_path):
-        chart = TorusChart(2, 128)
-        x, y = chart.coordinate(0), chart.coordinate(1)
-        q = np.exp(2j * np.pi * x) + np.exp(2j * np.pi * y) - 1.0
-        t0 = np.zeros(chart.shape + (2, 2), dtype=complex)
-        t0[..., 1, 0] = q
-        t0[..., 0, 1] = np.conj(q)
-        a = Superconnection.from_terms(chart, G11, t0)
+        a, _, _, zeros = winding_testbed(128)
         scene = tmp_path / "scene.json"
         save_scene(
             scene,
             {
                 "type": "superconnection_scene",
                 "superconnection": superconnection_to_dict(a),
-                "oracle_boxes": [
-                    {"center": [1 / 6, 5 / 6], "radius": 0.23},
-                    {"center": [5 / 6, 1 / 6], "radius": 0.23},
-                ],
+                "oracle_boxes": [{"center": list(z), "radius": 0.23} for z in zeros],
             },
         )
         sets = tmp_path / "sets.json"
@@ -256,10 +249,7 @@ class TestCLI:
             {
                 "type": "open_set",
                 "kind": "complement",
-                "boxes": [
-                    {"center": [1 / 6, 5 / 6], "core": 0.10, "support": 0.26},
-                    {"center": [5 / 6, 1 / 6], "core": 0.10, "support": 0.26},
-                ],
+                "boxes": [{"center": list(z), "core": 0.10, "support": 0.26} for z in zeros],
             },
         )
         out = tmp_path / "chi.json"
@@ -283,6 +273,36 @@ class TestCLI:
         assert len(rep["oracle_boxes"]) == 2
         windings = [b["winding"] for b in rep["oracle_boxes"]]
         assert sorted(windings) == [-1, 1]
+
+    @pytest.mark.parametrize(
+        "patch, steps",
+        [
+            (lambda c: {"type": "cocycle"}, []),
+            (lambda c: {**c, "superconnection": {**c["superconnection"], "term0": BAD_TERM0}}, []),
+            (None, "x"),
+            (None, [1]),
+            (None, [{"op": "collapse", "tol": "abc"}]),
+            (None, [{"op": "stabilize", "stabilizer": {"e_rank": 1, "s": BAD_S}}]),
+        ],
+        ids=["no-superconnection", "term0-shape", "ops-text", "ops-number", "tol-text", "s-buffer"],
+    )
+    def test_malformed_chain_input_is_input_error(self, tmp_path, rng, patch, steps):
+        res = self._chain_cli(tmp_path, rng, steps, patch)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+
+    def test_relative_index_without_gap_fails(self, tmp_path):
+        scene = tmp_path / "scene.json"
+        save_scene(
+            scene,
+            {"superconnection": {"chart": {"dim": 2, "grid_size": 8}, "grading": [1, -1]}},
+        )
+        sets = tmp_path / "sets.json"
+        save_scene(sets, {})
+        res = run_cli("relative", "index", "--scene", str(scene), "--open-set", str(sets))
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
 
     def test_scene_parse_failure(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -28,15 +28,15 @@ from superchern.forms import (
     Grading,
     TorusChart,
     exterior_d,
-    harmonic_coefficients,
     sup_norm,
 )
 from superchern.scenes import (
     gapped_superconnection,
     random_omega,
+    random_stabilizer,
     random_superconnection,
-    stabilizer_pair_scene,
 )
+from superchern.suites import harm_gap
 from superchern.superconn import Superconnection
 from superchern.transgression import QuadratureConfig
 
@@ -53,10 +53,6 @@ def even_cocycle(seed, chart=CH1, gapped=False, **kw):
     else:
         a = random_superconnection(rng, chart, G11, 0.5, 0.4, 1)
     return DKCocycle(a, random_omega(rng, chart, 0.4, 1))
-
-
-def harm_gap(a, b):
-    return np.abs(harmonic_coefficients(a) - harmonic_coefficients(b)).max()
 
 
 class TestAddAndClass:
@@ -150,7 +146,7 @@ class TestStabilize:
 
     def test_class_preserved_and_kernel_created(self, rng):
         c = even_cocycle(8, gapped=True, gap=1.0, wiggle=0.1, phase_amp=0.3, amp1=0.3)
-        st = Stabilizer(1, *stabilizer_pair_scene(rng, CH1, 1, 1, 1, amp=0.5, max_mode=1))
+        st = random_stabilizer(rng, CH1, 0.5)
         out = stabilize(c, st, QCFG)
         assert out.rank == c.rank + 2
         assert sup_norm(curvature_class(out) - curvature_class(c)) < 1e-8
@@ -193,7 +189,7 @@ class TestKernelReduce:
 
     def test_class_preserved_through_stabilization(self, rng):
         c = even_cocycle(10, gapped=True, gap=1.0, wiggle=0.1, phase_amp=0.3, amp1=0.3)
-        st = Stabilizer(1, *stabilizer_pair_scene(rng, CH1, 1, 1, 1, amp=0.5, max_mode=1))
+        st = random_stabilizer(rng, CH1, 0.5)
         red = normalize_q(c, st, cfg=QCFG)
         assert red.rank == 2
         assert red.A.term(0).sup_norm() < 1e-12  # connection-only normal form
@@ -201,13 +197,8 @@ class TestKernelReduce:
 
     def test_choice_independence(self, rng):
         c = even_cocycle(11, gapped=True, gap=1.0, wiggle=0.1, phase_amp=0.3, amp1=0.3)
-        st1 = Stabilizer(1, *stabilizer_pair_scene(rng, CH1, 1, 1, 1, amp=0.5, max_mode=1))
-        st2 = Stabilizer(
-            1,
-            *stabilizer_pair_scene(
-                np.random.default_rng(999), CH1, 1, 1, 1, amp=0.4, max_mode=1
-            ),
-        )
+        st1 = random_stabilizer(rng, CH1, 0.5)
+        st2 = random_stabilizer(np.random.default_rng(999), CH1, 0.4)
         r1 = normalize_q(c, st1, cfg=QCFG)
         r2 = normalize_q(c, st2, cfg=QCFG)
         assert sup_norm(curvature_class(r1) - curvature_class(r2)) < 1e-8

@@ -12,14 +12,12 @@ from superchern.forms import (
     algebra_exp,
     exterior_d,
     harmonic_coefficients,
-    integrate,
     sup_norm,
     supertrace,
 )
 from superchern.relative import (
     OpenSet,
     RelativeForm,
-    box_integral,
     cor2_defect,
     core_min_gap,
     index_character,
@@ -37,24 +35,13 @@ from superchern.scenes import (
     random_scalar_form,
     random_superconnection,
     winding_superconnection,
+    winding_testbed,
 )
+from superchern.suites import index_periods
 from superchern.superconn import Superconnection, curvature
 
 CH2 = TorusChart(2, 32)
 G11 = Grading.balanced(1, 1)
-
-
-def winding_testbed(n=256, c_w=1.0):
-    chart = TorusChart(2, n)
-    x, y = chart.coordinate(0), chart.coordinate(1)
-    q = np.exp(2j * np.pi * x) + np.exp(2j * np.pi * y) - c_w
-    t0 = np.zeros(chart.shape + (2, 2), dtype=complex)
-    t0[..., 1, 0] = q
-    t0[..., 0, 1] = np.conj(q)
-    a = Superconnection.from_terms(chart, G11, t0)
-    zeros = ((1 / 6, 5 / 6), (5 / 6, 1 / 6))
-    u = OpenSet.complement_of_boxes(chart, [(z, 0.10, 0.26) for z in zeros])
-    return chart, a, q, u, zeros
 
 
 class TestOpenSets:
@@ -136,7 +123,7 @@ class TestParametrix:
         assert np.abs(q - np.conj(np.swapaxes(q, -1, -2))).max() < 1e-12
 
     def test_gap_error(self):
-        chart, a, _, u, _ = winding_testbed(n=64)
+        a, _, u, _ = winding_testbed(64)
         with pytest.raises(GapError):
             parametrix(a.term0_field(), 5.0, u)  # window swallows core spectrum
 
@@ -151,14 +138,14 @@ class TestIndexProjectors:
         assert rep["p_minus_p0_on_core"] < 1e-10
 
     def test_projector_is_conjugated_p1(self):
-        _, a, _, u, _ = winding_testbed(n=32)
+        a, _, u, _ = winding_testbed(32)
         pr = index_projectors(a, u, 0.75 * core_min_gap(a, u), ("gauss", 10.5))
         p1 = np.diag([1.0, 1.0, 0.0, 0.0])
         ref = pr.l_inv @ p1 @ pr.l
         assert np.abs(pr.p - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_winding_family_profile(self):
-        chart, a, _, u, _ = winding_testbed(n=64)
+        a, _, u, _ = winding_testbed(64)
         gap = core_min_gap(a, u)
         pr = index_projectors(a, u, 0.5 * gap)
         rep = pr.validate(u)
@@ -208,9 +195,9 @@ class TestIndexCharacter:
     def test_matches_sandwich_formula(self, rng, scene):
         # the P0 identity and the weight contraction against the defining formula
         if scene == "winding-omega":
-            chart, a, _, u, _ = winding_testbed(n=32)
-            conn = random_conn1(rng, chart, G11, amp=0.5, max_mode=1)
-            a = Superconnection.from_terms(chart, G11, a.term0_field(), conn)
+            a, _, u, _ = winding_testbed(32)
+            conn = random_conn1(rng, a.chart, G11, amp=0.5, max_mode=1)
+            a = Superconnection.from_terms(a.chart, G11, a.term0_field(), conn)
             c, xi_shape = 0.75 * core_min_gap(a, u), ("gauss", 10.5)
         else:
             # Str(1) = 1 on a (2|1) bundle, and its degree-0 term has a kernel
@@ -222,20 +209,28 @@ class TestIndexCharacter:
         assert sup_norm(chi - ref) <= 1e-13 * ref.sup_norm()
 
     def test_winding_quantization(self):
-        chart, a, q, u, zeros = winding_testbed(n=256)
-        gap = core_min_gap(a, u)
-        chi = index_character(a, u, c=0.75 * gap, xi_shape=("gauss", 10.5))
+        core_sup, total, periods, w = index_periods(*winding_testbed(256))
         # supported off U
-        assert float(np.abs(chi.omega.data[:, u.core]).max()) < 1e-8
+        assert core_sup < 1e-8
         # total degree-2 period: integer, equal to (minus) the total winding
-        total = integrate(chi.omega, (0, 1)) / (2j * np.pi)
-        w = [winding_number_box(q, chart, (z, 0.23)) for z in zeros]
         assert abs(total - (-(w[0] + w[1]))) < 1e-6
         # local periods match the local degrees
-        for z, wz in zip(zeros, w):
-            per = box_integral(chi.omega, (0, 1), (z, 0.23)) / (2j * np.pi)
+        for per, wz in zip(periods, w):
             assert abs(per - (-wz)) < 1e-6
             assert abs(abs(per.real) - 1.0) < 1e-6  # each zero carries degree 1
+
+    @pytest.mark.parametrize("c", [0.0, -0.1, float("nan"), float("inf")])
+    def test_window_must_be_finite_and_positive(self, c):
+        a, _, u, _ = winding_testbed(32)
+        with pytest.raises(NotInvertibleError):
+            index_character(a, u, c=c)
+
+    def test_no_gap_on_core_raises(self):
+        # zero degree-0 term: the explicit window 0.75 * gap is 0
+        a = Superconnection.from_terms(CH2, G11, None)
+        u = OpenSet.whole(CH2)
+        with pytest.raises(NotInvertibleError):
+            index_character(a, u, c=0.75 * core_min_gap(a, u))
 
 
 class TestCor2Defect:

@@ -17,10 +17,17 @@ from superchern.oddk import sigma_lift
 from superchern.scenes import (
     dirac_twist_superconnection,
     gapped_superconnection,
-    random_conn1,
     random_odd_superconnection,
     random_scalar_form,
     random_superconnection,
+    stabilization_scene,
+)
+from superchern.suites import (
+    homotopy_residual,
+    quadrature_estimates,
+    stabilization_eta,
+    stabilization_eta_infinity,
+    transgression_residual,
 )
 from superchern.superconn import (
     Superconnection,
@@ -32,7 +39,6 @@ from superchern.superconn import (
 from superchern.transgression import (
     QuadratureConfig,
     _panel_nodes,
-    eta_along_path,
     eta_between,
     eta_infinity,
 )
@@ -54,21 +60,13 @@ class TestEtaBetween:
 
     def test_transgression_identity(self):
         a0, a1 = mk(1), mk(2)
-        eta = eta_between(a0, a1)
-        res = chern_character(a1) - chern_character(a0) + exterior_d(eta.form)
-        assert sup_norm(res) < 1e-8
+        assert transgression_residual(a0, a1, eta_between(a0, a1).form) < 1e-8
 
     def test_vanishing_on_doubled_bundle(self, rng):
         # connection (+) connection against the same with a unit off-diagonal
-        ch = TorusChart(1, 32)
-        conn = random_conn1(rng, ch, Grading.trivial(1), amp=0.5, max_mode=2)
-        doubled = [w[..., 0, 0][..., None, None] * np.eye(2) for w in conn]
-        tilde = Superconnection.from_terms(ch, G11, None, doubled)
-        with_mass = Superconnection.from_terms(
-            ch, G11, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), doubled
-        )
-        assert sup_norm(eta_between(tilde, with_mass).form) < 1e-10
-        assert sup_norm(eta_infinity(with_mass, tol=1e-12).form) < 1e-10
+        tilde, with_mass = stabilization_scene(rng, TorusChart(1, 32), 1, amp=0.5)
+        assert stabilization_eta(tilde, with_mass) < 1e-10
+        assert stabilization_eta_infinity(with_mass) < 1e-10
 
     def test_additivity_mod_exact(self):
         a0, a1, a2 = mk(3), mk(4), mk(5)
@@ -83,27 +81,10 @@ class TestEtaBetween:
 
     def test_homotopy_invariance(self):
         a0, a1, a2 = mk(6), mk(7), mk(8)
-        straight = eta_between(a0, a1)
-        detour = a2.coeff - 0.5 * (a0.coeff + a1.coeff)
-
-        def path(t):
-            return Superconnection(
-                (1 - t) * a0.coeff + t * a1.coeff + (4 * t * (1 - t)) * detour
-            )
-
-        def dpath(t):
-            return (a1.coeff - a0.coeff) + (4 - 8 * t) * detour
-
-        curved = eta_along_path(path, dpath)
-        gap = np.abs(
-            harmonic_coefficients(curved.form) - harmonic_coefficients(straight.form)
-        ).max()
-        assert gap < 1e-8
+        assert homotopy_residual(a0, a1, a2, eta_between(a0, a1).form) < 1e-8
 
     def test_quadrature_order_ramp(self):
-        a0, a1 = mk(9), mk(10)
-        est2 = eta_between(a0, a1, QuadratureConfig(panels=4, order=2)).est_error
-        est4 = eta_between(a0, a1, QuadratureConfig(panels=4, order=4)).est_error
+        est2, est4 = quadrature_estimates(mk(9), mk(10))
         assert est4 <= est2 / 100.0
 
 
