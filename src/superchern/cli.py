@@ -191,6 +191,13 @@ def _cmd_relative_index(args) -> int:
     except (SceneError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if a.chart.dim and not u.core.any():
+        print(
+            "error: the open set's core is empty, so --c-frac times the core gap "
+            "defines no parametrix window",
+            file=sys.stderr,
+        )
+        return EXIT_INPUT
     xi_shape = ("gauss", args.alpha) if args.xi == "gauss" else "bump"
     try:
         from .relative import core_min_gap

@@ -580,16 +580,17 @@ def left_regular_matrix(a: GradedMatrixForm) -> np.ndarray:
     Returns an array of shape ``(*grid, D, D)`` with ``D = 2**dim * m``; basis
     vectors are ordered (component mask, fiber index).
     """
-    chart = a.chart
-    m = a.rank
-    dim = chart.dim
-    nc = chart.n_components
+    return _left_regular_data(a.data, a.grading.conj_table())
+
+
+def _left_regular_data(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """left_regular_matrix on component arrays of shape ``(2**dim, ..., m, m)``."""
+    nc, m = x.shape[0], x.shape[-1]
     dm = nc * m
-    out = np.zeros(chart.shape + (dm, dm), dtype=np.complex128)
-    signs = _wedge_signs(dim)
-    table = a.grading.conj_table()
+    out = np.zeros(x.shape[1:-2] + (dm, dm), dtype=np.complex128)
+    signs = _wedge_signs(nc.bit_length() - 1)
     for i in range(nc):
-        ai = a.data[i]
+        ai = x[i]
         if not ai.any():
             continue
         ai_conj = ai * table
@@ -601,6 +602,14 @@ def left_regular_matrix(a: GradedMatrixForm) -> np.ndarray:
             k = i | j
             out[..., k * m : (k + 1) * m, j * m : (j + 1) * m] += s * blk
     return out
+
+
+def _left_regular_exp(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """exp(x) as expm_batched of the left-regular matrix applied to the unit."""
+    nc, m = x.shape[0], x.shape[-1]
+    cols = expm_batched(_left_regular_data(x, table))[..., :, :m]
+    comps = cols.reshape(cols.shape[:-2] + (nc, m, m))
+    return np.ascontiguousarray(np.moveaxis(comps, -3, 0))
 
 
 def _unit(x: np.ndarray) -> np.ndarray:
@@ -727,7 +736,7 @@ def algebra_exp(a: GradedMatrixForm, strict_parity: bool = False) -> GradedMatri
     Inputs with a significant total-odd part trigger a ParityWarning (or
     ParityError when strict_parity is set): the element being exponentiated
     is even in every identity this package verifies.  The check runs before
-    one of three evaluations is chosen from the input:
+    the evaluation is chosen from the input:
 
     1. Central degree-0 part: at every point a_0 = lam 1 + E with
        lam = tr(a_0) / m and ||E|| <= u ||a|| (u = 2**-53, ||.|| the 1-norm
@@ -738,30 +747,40 @@ def algebra_exp(a: GradedMatrixForm, strict_parity: bool = False) -> GradedMatri
        quadrature, whose F0 = B_0^2 = |phi|^2 1 by the Clifford relation.
        Treating such an a_0 as exactly central evaluates exp(a - E): a
        backward error of at most u ||a||, the same bound the Pade-13 degree
-       and scaling of 2. and 3. are chosen to meet (Higham, SIAM J. Matrix
+       and scaling of 3. and 4. are chosen to meet (Higham, SIAM J. Matrix
        Anal. Appl. 26, 2005), so this adds no error beyond the reference's.
-    2. Fibre rank m >= _GRADED_MIN_RANK[dim] (8 on T^1, 5 on T^2 and T^3):
+    2. Fibre blocks: the fibre indices r, c linked by an entry a[r, c] or
+       a[c, r] that is not exactly 0 in some component at some point fall
+       into connected components.  With more than one, a is a direct sum of
+       its blocks and so is exp(a) (Higham, Functions of Matrices, SIAM 2008,
+       Thm 1.13): blocks of equal size and grading signature are stacked and
+       each stack is evaluated as a whole input is (1., 3. or 4., with the
+       central test per block), and entries off the blocks stay exactly 0.
+       Suspensions (oddk.suspend: the data as 1 (x) a and the fibre Dirac
+       block, both diagonal in the fibre mode, so at least one block per
+       mode) and direct sums (superconn.direct_sum, dk stabilizations) give
+       such inputs; the suspended rank-98 curvature of the benchmark, whose
+       data is diagonal too, is 49 blocks (1|1), each with a central F0.
+    3. Fibre rank m >= _GRADED_MIN_RANK[dim] (8 on T^1, 5 on T^2 and T^3):
        Pade-13 scaling and squaring in the graded algebra on m x m blocks,
        3**dim block products per algebra product instead of one product of
        (2**dim m)-square matrices.
-    3. Otherwise the ordinary matrix exponential (expm_batched) of the
+    4. Otherwise the ordinary matrix exponential (expm_batched) of the
        left-regular representation on the 2**dim * m dimensional module,
        applied to the identity element.  This is also the reference the
-       other two are tested against.
+       others are tested against.
 
-    Crossover of 2. against 3., time of 3. over time of 2. on random even
+    Crossover of 3. against 4., time of 4. over time of 3. on random even
     inputs (two cores, OpenBLAS): T^1 N32-N256 0.6-0.8 at m = 4, 0.7-1.1 at
     m = 5-7, 1.0-1.7 at m = 8, 1.2-2.2 at m = 12-40; T^2 N16-N32 0.3 at
     m = 2, 0.9-1.5 at m = 4, 1.4 at m = 5, 1.7-3.1 from m = 6; T^3 N8 0.4 at
     m = 2, 1.5-1.9 at m = 4, 2.0-5.8 from m = 5.  Ranks up to 4 with a
-    non-central degree-0 part stay on 3. on every chart.
+    non-central degree-0 part stay on 4. on every chart.
     """
-    m = a.rank
-    if m == 0:
+    if a.rank == 0:
         return GradedMatrixForm.zeros(a.chart, a.grading)
-    table = a.grading.conj_table()
     mag = np.abs(a.data)
-    if _odd_max(mag, table) > 1e-10 * max(float(mag.max()), 1.0):
+    if _odd_max(mag, a.grading.conj_table()) > 1e-10 * max(float(mag.max()), 1.0):
         if strict_parity:
             from .errors import ParityError
 
@@ -769,27 +788,72 @@ def algebra_exp(a: GradedMatrixForm, strict_parity: bool = False) -> GradedMatri
         warnings.warn(
             "algebra_exp input has a total-odd part", ParityWarning, stacklevel=2
         )
-    a0 = a.data[0]
+    data = _exp_data(a.data, mag, a.grading.signature.astype(np.float64))
+    return GradedMatrixForm(a.chart, a.grading, data)
+
+
+def _exp_data(x: np.ndarray, mag: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """algebra_exp on components x of shape ``(2**dim, ..., m, m)``.
+
+    mag is |x| and sig the grading signature of the m fibre indices.
+    """
+    nc, m = x.shape[0], x.shape[-1]
+    table = np.outer(sig, sig)
+    a0 = x[0]
     lam = np.einsum("...rr->...", a0) / m
     spread = _colsum_max(np.abs(a0 - lam[..., None, None] * np.eye(m)))
     norm1 = _colsum_max(mag.sum(axis=0))
     if np.all(spread <= _UNIT_ROUNDOFF * norm1):
-        x = a.data.copy()
-        x[0] = 0.0
-        data = _nilpotent_exp(x, table)
+        y = x.copy()
+        y[0] = 0.0
+        data = _nilpotent_exp(y, table)
         if lam.any():
             data *= np.exp(lam)[..., None, None]
-        return GradedMatrixForm(a.chart, a.grading, data)
-    if a.chart.dim and m >= _GRADED_MIN_RANK[a.chart.dim]:
-        data = _graded_expm(a.data, table)
-        return GradedMatrixForm(a.chart, a.grading, data)
-    rho = left_regular_matrix(a)
-    exp_rho = expm_batched(rho)
-    cols = exp_rho[..., :, :m]
-    grid_nd = cols.ndim - 2
-    comps = cols.reshape(cols.shape[:-2] + (a.chart.n_components, m, m))
-    data = np.moveaxis(comps, grid_nd, 0)
-    return GradedMatrixForm(a.chart, a.grading, np.ascontiguousarray(data))
+        return data
+    blocks = _fibre_blocks(mag)
+    if len(blocks) > 1:
+        return _exp_blocks(x, mag, sig, blocks)
+    dim = nc.bit_length() - 1
+    if dim and m >= _GRADED_MIN_RANK[dim]:
+        return _graded_expm(x, table)
+    return _left_regular_exp(x, table)
+
+
+def _fibre_blocks(mag: np.ndarray) -> list:
+    """Fibre index sets of the connected components of mag's zero pattern.
+
+    Indices r and c are linked when mag[..., r, c] or mag[..., c, r] is
+    nonzero for some component and point; the reachability matrix comes
+    from repeated boolean squaring of the links.
+    """
+    m = mag.shape[-1]
+    link = mag.reshape(-1, m, m).any(axis=0)
+    reach = link | link.T | np.eye(m, dtype=bool)
+    while True:
+        wider = reach @ reach
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    first = reach.argmax(axis=1)
+    return [np.flatnonzero(first == r) for r in np.unique(first)]
+
+
+def _exp_blocks(x: np.ndarray, mag: np.ndarray, sig: np.ndarray, blocks: list) -> np.ndarray:
+    """_exp_data of a direct sum, one stack per (block size, grading signature).
+
+    A stack of G blocks of size b has shape ``(2**dim, ..., G, b, b)``: the
+    block axis joins the grid axes, so each block gets its own central test
+    and Pade scaling.
+    """
+    groups = {}
+    for idx in blocks:
+        groups.setdefault((idx.size, sig[idx].tobytes()), []).append(idx)
+    out = np.zeros_like(x)
+    for members in groups.values():
+        idx = np.stack(members)
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        out[..., rows, cols] = _exp_data(x[..., rows, cols], mag[..., rows, cols], sig[idx[0]])
+    return out
 
 
 def harmonic_part(a: GradedMatrixForm) -> GradedMatrixForm:

@@ -237,6 +237,11 @@ def suspend(c: OddCocycle, fiber_modes: int = 6, grid_size: int | None = None):
             field[None, ...], (new_chart.grid_size,) + field.shape
         ).copy()
 
+    # Fibre index (half, n, k) at position half * big + n * m + k.  Every
+    # piece below is diagonal in the fibre mode n: the data as 1_f (x) a, the
+    # Dirac block diag(i (n - u)) and both slopes.  The curvature is then a
+    # direct sum over n of (m|m) blocks (finer when a is), which
+    # forms.algebra_exp exponentiates block by block.
     coeff = GradedMatrixForm.zeros(new_chart, grading)
     eye_f = np.eye(n_modes)
     # sigma-block embedding of the pulled-back data on the doubled fiber

@@ -304,6 +304,18 @@ class TestCLI:
         assert res.stdout == ""
         assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
 
+    def test_relative_index_empty_core_is_input_error(self, tmp_path):
+        a, _, _, _ = winding_testbed(32)
+        scene = tmp_path / "scene.json"
+        save_scene(scene, {"superconnection": superconnection_to_dict(a)})
+        sets = tmp_path / "sets.json"
+        save_scene(sets, {"type": "open_set", "kind": "empty"})
+        res = run_cli("relative", "index", "--scene", str(scene), "--open-set", str(sets))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+        assert "core is empty" in res.stderr
+
     def test_scene_parse_failure(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

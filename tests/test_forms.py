@@ -38,7 +38,7 @@ from superchern.scenes import (
     random_scalar_form,
     random_superconnection,
 )
-from superchern.superconn import curvature, product
+from superchern.superconn import curvature, direct_sum, product
 from superchern.twisted import twisted_theta
 
 
@@ -273,9 +273,55 @@ def _suspension():
     return -curvature(suspend(cocycle, fiber_modes=3, grid_size=4).A)
 
 
-# (scene, expected dispatch path); path "left-regular" is the reference itself
+# fibre blocks of the direct-sum scenes below
+G11 = Grading.balanced(1, 1)
+PERMUTED = [[0, 2], [1, 3]]
+MIXED = [[0, 1, 2], [3, 4], [5]]
+PAIRS = [[0, 1], [2, 3]]
+CROSSED = [[0, 3], [1, 2]]
+
+
+def _block_sum(parts, blocks):
+    """Direct sum of the forms parts, each placed on its fibre index set."""
+    m = sum(p.rank for p in parts)
+    sig = np.zeros(m)
+    for p, idx in zip(parts, blocks):
+        sig[idx] = p.grading.signature
+    out = GradedMatrixForm.zeros(parts[0].chart, Grading(sig))
+    for p, idx in zip(parts, blocks):
+        idx = np.asarray(idx)
+        out.data[..., idx[:, None], idx[None, :]] = p.data
+    return out
+
+
+def _even_sum(chart, gradings, blocks, seed):
+    """Direct sum of random even forms with the given gradings."""
+    return _block_sum([_even(chart, g, seed + k) for k, g in enumerate(gradings)], blocks)
+
+
+def _coupled(r, c):
+    """Two (1|1) blocks linked by one entry (r, c) of dx^dy at one point."""
+    a = _even_sum(TorusChart(2, 8), [G11, G11], PAIRS, 50)
+    a.data[3, 3, 5, r, c] = 0.5  # indices 0 and 2 are both gamma-even
+    return a
+
+
+def _sum_of_rank3(seed):
+    rng = np.random.default_rng(seed)
+    a1, a2 = (
+        random_superconnection(rng, TorusChart(2, 8), Grading.balanced(2, 1)) for _ in range(2)
+    )
+    return -curvature(direct_sum(a1, a2))
+
+
+# (scene, evaluations algebra_exp runs, in order); "left-regular" is the
+# reference itself, and "split" is followed by one evaluation per block group
 EXP_SCENES = {
-    "point-rank3": (lambda: _even(TorusChart(0), Grading.balanced(2, 1), 1), "left-regular"),
+    # an even element on a point is gamma-diagonal: blocks (2|0) and (0|1)
+    "point-rank3": (
+        lambda: _even(TorusChart(0), Grading.balanced(2, 1), 1),
+        "split left-regular central",
+    ),
     "T1-rank1": (lambda: _even(TorusChart(1, 8), Grading.trivial(1), 2), "central"),
     "T1-rank2": (lambda: _curv(TorusChart(1, 16), 1, 1, 3), "central"),
     "T2-rank2": (lambda: _curv(TorusChart(2, 16), 1, 1, 18), "central"),
@@ -285,7 +331,7 @@ EXP_SCENES = {
     "T2-rank6": (lambda: _curv(TorusChart(2, 8), 3, 3, 6), "graded"),
     "T3-rank6": (lambda: _curv(TorusChart(3, 4), 3, 3, 7), "graded"),
     "T1-rank26": (lambda: _curv(TorusChart(1, 8), 13, 13, 8), "graded"),
-    "T2-rank98-suspension": (_suspension, "graded"),
+    "T2-rank98-suspension": (_suspension, "split central"),  # 49 blocks (1|1)
     "point-F0-zero": (lambda: _curv(TorusChart(0), 1, 1, 15, amp0=0.0), "central"),
     "T1-rank12-F0-zero": (lambda: _curv(TorusChart(1, 16), 6, 6, 16, amp0=0.0), "central"),
     "T2-rank4-F0-zero": (lambda: _curv(TorusChart(2, 16), 2, 2, 9, amp0=0.0), "central"),
@@ -294,11 +340,49 @@ EXP_SCENES = {
         lambda: _nilpotent(TorusChart(3, 4), Grading.balanced(2, 1), 17),
         "central",
     ),
-    "T1-affine-rank6": (lambda: _affine(TorusChart(1, 16), 1, modes=1), "left-regular"),
-    "T1-affine-rank10": (lambda: _affine(TorusChart(1, 16), 2, modes=2), "graded"),
+    "T1-affine-rank6": (lambda: _affine(TorusChart(1, 16), 1, modes=1), "split central"),
+    "T1-affine-rank10": (lambda: _affine(TorusChart(1, 16), 2, modes=2), "split central"),
     "T3-twisted-rank2": (lambda: _twisted(TorusChart(3, 4), 1, 1, 11), "central"),
     "T3-twisted-rank6": (lambda: _twisted(TorusChart(3, 4), 3, 3, 12), "graded"),
     "T2-twisted-F0-zero": (lambda: _twisted(TorusChart(2, 8), 2, 2, 13, amp0=0.0), "central"),
+    "T2-blocks-permuted": (
+        lambda: _even_sum(TorusChart(2, 8), [G11, G11], PERMUTED, 56),
+        "split left-regular",
+    ),
+    "T2-blocks-mixed-sizes": (
+        lambda: _even_sum(
+            TorusChart(2, 8), [Grading.balanced(2, 1), G11, Grading.trivial(1)], MIXED, 58
+        ),
+        "split left-regular left-regular central",
+    ),
+    # equal sizes, gradings (2|0) and (1|1): the dx part of the second
+    # block needs its own sign table
+    "T1-blocks-gradings-differ": (
+        lambda: _even_sum(TorusChart(1, 16), [Grading.trivial(2), G11], PAIRS, 61),
+        "split left-regular left-regular",
+    ),
+    "T2-coupled-by-degree2-upper": (lambda: _coupled(0, 2), "left-regular"),
+    "T2-coupled-by-degree2-lower": (lambda: _coupled(2, 0), "left-regular"),
+    # F0 = |phi_k|^2 1 on each (1|1) block, with a different phi_k per block
+    "T2-blocks-central-not-whole": (
+        lambda: _block_sum([_curv(TorusChart(2, 8), 1, 1, 63 + k) for k in range(2)], CROSSED),
+        "split central",
+    ),
+    "T2-direct-sum-rank3": (lambda: _sum_of_rank3(55), "split left-regular"),
+}
+
+# fibre blocks of the scenes that split; entries off them must stay exactly 0
+SPLIT_BLOCKS = {
+    "point-rank3": [[0, 1], [2]],
+    "T1-affine-rank6": [[i, i + 3] for i in range(3)],
+    "T1-affine-rank10": [[i, i + 5] for i in range(5)],
+    # 1 (x) a with a diagonal in the mode basis, and the fibre Dirac block
+    "T2-rank98-suspension": [[i, i + 49] for i in range(49)],
+    "T2-blocks-permuted": PERMUTED,
+    "T2-blocks-mixed-sizes": MIXED,
+    "T1-blocks-gradings-differ": PAIRS,
+    "T2-blocks-central-not-whole": CROSSED,
+    "T2-direct-sum-rank3": [[0, 1, 2], [3, 4, 5]],
 }
 
 
@@ -312,9 +396,14 @@ def _reference_exp(a):
 
 @pytest.fixture
 def dispatch(monkeypatch):
-    """Records which evaluation algebra_exp ran."""
+    """Records which evaluations algebra_exp ran."""
     taken = []
-    for name, path in (("_nilpotent_exp", "central"), ("_graded_expm", "graded")):
+    for name, path in (
+        ("_nilpotent_exp", "central"),
+        ("_graded_expm", "graded"),
+        ("_left_regular_exp", "left-regular"),
+        ("_exp_blocks", "split"),
+    ):
         original = getattr(forms, name)
 
         def spy(*args, _original=original, _path=path):
@@ -332,8 +421,12 @@ class TestAlgebraExpDispatch:
         a = build()
         ref = _reference_exp(a)
         got = algebra_exp(a, strict_parity=True).data
-        assert (dispatch or ["left-regular"]) == [path]
+        assert " ".join(dispatch) == path
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        inside = np.zeros((a.rank, a.rank), dtype=bool)
+        for idx in SPLIT_BLOCKS.get(scene, [range(a.rank)]):
+            inside[np.ix_(idx, idx)] = True
+        assert np.all(got[..., ~inside] == 0)
 
     @pytest.mark.parametrize("scene", ["T2-rank4", "T2-rank6", "T2-rank4-F0-zero"])
     def test_parity_checked_before_dispatch(self, scene, dispatch):
@@ -346,7 +439,7 @@ class TestAlgebraExpDispatch:
         assert dispatch == []
         with pytest.warns(ParityWarning):
             algebra_exp(bad)
-        assert (dispatch or ["left-regular"]) == [EXP_SCENES[scene][1]]
+        assert " ".join(dispatch) == EXP_SCENES[scene][1]
 
 
 class TestCentralDegreeZero:
@@ -363,7 +456,7 @@ class TestCentralDegreeZero:
         a = self._spread(EXP_SCENES["T2-rank2"][0](), 10 * 2.0**-53, (3, 5))
         ref = _reference_exp(a)
         got = algebra_exp(a, strict_parity=True).data
-        assert dispatch == []
+        assert dispatch == ["left-regular"]
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_spread_below_roundoff_stays_central(self, dispatch):

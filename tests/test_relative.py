@@ -4,6 +4,7 @@ eta-difference defect, spectral flow."""
 import numpy as np
 import pytest
 
+from superchern import suites
 from superchern.errors import GapError, NotInvertibleError
 from superchern.forms import (
     GradedMatrixForm,
@@ -218,6 +219,23 @@ class TestIndexCharacter:
         for per, wz in zip(periods, w):
             assert abs(per - (-wz)) < 1e-6
             assert abs(abs(per.real) - 1.0) < 1e-6  # each zero carries degree 1
+
+    @pytest.mark.parametrize("scale", [-1.0, 2.0])
+    def test_local_period_sees_scale_and_sign(self, monkeypatch, scale):
+        # the zeros carry windings -1 and +1: the total period of any multiple
+        # of chi is 0, so only the local period (relative-index-local) can see
+        # a wrong sign or scale of the character
+        original = suites.index_character
+
+        def scaled(*args, **kwargs):
+            chi = original(*args, **kwargs)
+            return RelativeForm(chi.omega * scale, chi.sigma * scale)
+
+        monkeypatch.setattr(suites, "index_character", scaled)
+        _, total, periods, w = index_periods(*winding_testbed(256))
+        tol = 1e-6  # relative-index-total and relative-index-local
+        assert abs(total - (-(w[0] + w[1]))) < tol
+        assert abs(periods[0] - (-w[0])) >= 10 * tol
 
     @pytest.mark.parametrize("c", [0.0, -0.1, float("nan"), float("inf")])
     def test_window_must_be_finite_and_positive(self, c):
