@@ -89,18 +89,43 @@ def _suite_config(suite, seed, grid, tol) -> SuiteConfig:
     return SuiteConfig(suite=suite, seed=seed, grid=grid, tol_scale=tol)
 
 
+def _suite_configs(args) -> list:
+    """SuiteConfigs of a verify command: flags, overridden by the --config file."""
+    overrides = load_scene(args.config) if getattr(args, "config", None) else {}
+    if args.suite == "all":
+        if "suite" in overrides:
+            raise _InputError("verify all runs every suite; its config cannot set suite")
+        names = sorted(SUITES)
+    else:
+        names = [overrides.get("suite", args.suite)]
+    return [
+        _suite_config(
+            name,
+            overrides.get("seed", args.seed),
+            overrides.get("grid", args.grid),
+            overrides.get("tol_scale", args.tol),
+        )
+        for name in names
+    ]
+
+
 def _cmd_verify(args) -> int:
-    overrides = {}
-    if getattr(args, "config", None):
-        overrides = load_scene(args.config)
-    cfg = _suite_config(
-        overrides.get("suite", args.suite),
-        overrides.get("seed", args.seed),
-        overrides.get("grid", args.grid),
-        overrides.get("tol_scale", args.tol),
-    )
+    configs = _suite_configs(args)
+    if args.suite == "all":
+        from .suites import run_many
+
+        worst = EXIT_PASS
+        for report in run_many(configs):
+            out = None
+            if args.out:
+                stem, dot, ext = args.out.rpartition(".")
+                out = f"{stem}-{report.suite}.{ext}" if dot else f"{args.out}-{report.suite}"
+            _write_report(report, out, args.format)
+            if not report.passed:
+                worst = EXIT_FAIL
+        return worst
     try:
-        report = run_suite(cfg)
+        report = run_suite(configs[0])
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -179,11 +204,19 @@ def _cmd_dk_chain(args) -> int:
     return EXIT_PASS
 
 
+def _positive(name, value) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise _InputError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
 def _cmd_relative_index(args) -> int:
     from .forms import integrate
     from .relative import box_integral, index_character, winding_number_box
     from .serialize import form_to_dict
 
+    alpha = _positive("alpha", args.alpha)
+    c_frac = _positive("c-frac", args.c_frac)
     try:
         scene = load_scene(args.scene)
         a = superconnection_from_dict(scene["superconnection"])
@@ -198,12 +231,12 @@ def _cmd_relative_index(args) -> int:
             file=sys.stderr,
         )
         return EXIT_INPUT
-    xi_shape = ("gauss", args.alpha) if args.xi == "gauss" else "bump"
+    xi_shape = ("gauss", alpha) if args.xi == "gauss" else "bump"
     try:
         from .relative import core_min_gap
 
         gap = core_min_gap(a, u)
-        chi = index_character(a, u, c=args.c_frac * gap, xi_shape=xi_shape)
+        chi = index_character(a, u, c=c_frac * gap, xi_shape=xi_shape)
     except SuperchernError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
@@ -337,23 +370,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            if args.suite == "all":
-                from .suites import run_many
-
-                configs = [
-                    _suite_config(name, args.seed, args.grid, args.tol)
-                    for name in sorted(SUITES)
-                ]
-                worst = EXIT_PASS
-                for report in run_many(configs):
-                    out = None
-                    if args.out:
-                        stem, dot, ext = args.out.rpartition(".")
-                        out = f"{stem}-{report.suite}.{ext}" if dot else f"{args.out}-{report.suite}"
-                    _write_report(report, out, args.format)
-                    if not report.passed:
-                        worst = EXIT_FAIL
-                return worst
             return _cmd_verify(args)
         if args.command == "dk":
             return _cmd_dk_chain(args)

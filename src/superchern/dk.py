@@ -48,6 +48,12 @@ __all__ = [
     "smooth_frame",
 ]
 
+# stabilize: least singular value of A_[0]^+ + s that counts as surjective
+_SURJ_TOL = 1e-6
+# smooth_frame: largest overlap defect 1 - sigma_min, and largest jump of the
+# aligned frame between neighbours
+_MISALIGN_TOL = 0.5
+
 
 @dataclass
 class DKCocycle:
@@ -146,10 +152,7 @@ class Stabilizer:
 
 
 def stabilize(
-    c: DKCocycle,
-    st: Stabilizer,
-    cfg: QuadratureConfig | None = None,
-    surj_tol: float = 1e-6,
+    c: DKCocycle, st: Stabilizer, cfg: QuadratureConfig | None = None
 ) -> DKCocycle:
     """Absorb E (+) E with grading (+, -) and couple it to H^- through s.
 
@@ -160,9 +163,9 @@ def stabilize(
     """
     a = c.A
     margin = st.surjectivity_margin(a)
-    if margin <= surj_tol:
+    if margin <= _SURJ_TOL:
         raise StabilizerInsufficientError(
-            f"A_[0]^+ + s has smallest singular value {margin:.3e} <= {surj_tol:.1e}"
+            f"A_[0]^+ + s has smallest singular value {margin:.3e} <= {_SURJ_TOL:.1e}"
         )
     chart = a.chart
     m = a.rank
@@ -225,7 +228,7 @@ def _frame_jump(v: np.ndarray, chart: TorusChart) -> float:
     return worst
 
 
-def smooth_frame(frames: np.ndarray, chart: TorusChart, misalign_tol: float = 0.5):
+def smooth_frame(frames: np.ndarray, chart: TorusChart):
     """Align pointwise orthonormal frames of a smooth subbundle across the grid.
 
     frames has shape ``(*grid, m, k)``.  Sweeping the last axis first and the
@@ -235,7 +238,7 @@ def smooth_frame(frames: np.ndarray, chart: TorusChart, misalign_tol: float = 0.
     distributed as a fractional unitary power, so the output is
     periodic-smooth whenever the subbundle admits such a frame.  Returns
     (aligned_frames, worst_misalignment); raises NonSmoothKernelError when an
-    overlap drops below 1 - misalign_tol or the aligned field still jumps
+    overlap drops below 1 - _MISALIGN_TOL or the aligned field still jumps
     between neighbors (a curvature obstruction this sweep cannot remove).
     """
     k = frames.shape[-1]
@@ -257,15 +260,15 @@ def smooth_frame(frames: np.ndarray, chart: TorusChart, misalign_tol: float = 0.
         overlap = np.conj(np.swapaxes(flat[n - 1], -1, -2)) @ flat[0]
         w, smin = _polar_unitary(overlap)
         worst = max(worst, float(1.0 - smin.min(initial=1.0)))
-        if worst > misalign_tol:
+        if worst > _MISALIGN_TOL:
             raise NonSmoothKernelError(
-                f"kernel frame misalignment {worst:.3f} exceeds {misalign_tol}"
+                f"kernel frame misalignment {worst:.3f} exceeds {_MISALIGN_TOL}"
             )
         powers = _fractional_power_unitary(w, np.arange(n) / n)
         flat = flat @ powers
         v = np.moveaxis(flat.reshape((n,) + lead_shape + (m, k)), 0, axis)
     jump = _frame_jump(v, chart)
-    if jump > misalign_tol:
+    if jump > _MISALIGN_TOL:
         raise NonSmoothKernelError(
             f"aligned kernel frame still jumps by {jump:.3f} between neighbors"
         )
@@ -337,7 +340,6 @@ def kernel_reduce(
     rank_tol: float = 1e-8,
     cfg: QuadratureConfig | None = None,
     tol: float = 1e-10,
-    misalign_tol: float = 0.5,
 ) -> DKCocycle:
     """Reduce to the kernel bundle of the degree-0 term.
 
@@ -378,7 +380,7 @@ def kernel_reduce(
         return DKCocycle(zero, omega)
 
     frames = np.concatenate([fplus, fminus], axis=-1)
-    frames, _ = smooth_frame(frames, chart, misalign_tol)
+    frames, _ = smooth_frame(frames, chart)
     grading_red = Grading.balanced(k_plus, k_minus)
     red_coeff = GradedMatrixForm.zeros(chart, grading_red)
     fr_h = np.conj(np.swapaxes(frames, -1, -2))

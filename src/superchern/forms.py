@@ -504,12 +504,6 @@ _UNIT_ROUNDOFF = 2.0**-53
 _EXPM_CHUNK = 1 << 22  # flops-ish guard: chunk when batch * d^2 exceeds this
 
 
-# Smallest fibre rank, per chart dimension 0..3, at which algebra_exp runs
-# Pade in the graded algebra instead of on the left-regular matrix (see
-# algebra_exp for the measurements); on a point the two are the same.
-_GRADED_MIN_RANK = (None, 8, 5, 5)
-
-
 def _scaling_exponents(norm1: np.ndarray) -> np.ndarray:
     """Squarings s per point so that norm1 / 2**s <= theta_13."""
     with np.errstate(divide="ignore"):
@@ -517,25 +511,22 @@ def _scaling_exponents(norm1: np.ndarray) -> np.ndarray:
     return np.where(norm1 > _PADE13_THETA, s, 0.0).astype(np.int64)
 
 
-def _pade13_uv(a, mul, eye):
-    """Odd and even parts u, v of the Pade-13 numerator, p(a) = v + u.
-
-    mul is the algebra product and eye its unit, broadcastable against a.
-    """
+def _pade13_uv(a):
+    """Odd and even parts u, v of the Pade-13 numerator, p(a) = v + u."""
     b = _PADE13
-    a2 = mul(a, a)
-    a4 = mul(a2, a2)
-    a6 = mul(a2, a4)
-    u = mul(
-        a,
-        mul(a6, b[13] * a6 + b[11] * a4 + b[9] * a2)
+    eye = np.eye(a.shape[-1], dtype=np.complex128)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
         + b[7] * a6
         + b[5] * a4
         + b[3] * a2
-        + b[1] * eye,
+        + b[1] * eye
     )
     v = (
-        mul(a6, b[12] * a6 + b[10] * a4 + b[8] * a2)
+        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
         + b[6] * a6
         + b[4] * a4
         + b[2] * a2
@@ -545,10 +536,9 @@ def _pade13_uv(a, mul, eye):
 
 
 def _expm_block(mats: np.ndarray) -> np.ndarray:
-    d = mats.shape[-1]
     s = _scaling_exponents(np.abs(mats).sum(axis=-2).max(axis=-1))
     a = mats * (0.5 ** s)[:, None, None]
-    u, v = _pade13_uv(a, np.matmul, np.eye(d, dtype=np.complex128))
+    u, v = _pade13_uv(a)
     f = np.linalg.solve(v - u, v + u)
     smax = int(s.max()) if s.size else 0
     for r in range(smax):
@@ -612,14 +602,6 @@ def _left_regular_exp(x: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(comps, -3, 0))
 
 
-def _unit(x: np.ndarray) -> np.ndarray:
-    """Unit of the graded algebra, broadcastable against components x."""
-    nc, m = x.shape[0], x.shape[-1]
-    one = np.zeros((nc,) + (1,) * (x.ndim - 3) + (m, m), dtype=np.complex128)
-    one[0] = np.eye(m)
-    return one
-
-
 def _nilpotent_exp(x: np.ndarray, table: np.ndarray) -> np.ndarray:
     """exp(x) = sum_{k <= dim} x^k / k! for x without a degree-0 part.
 
@@ -680,56 +662,6 @@ def _odd_max(mag: np.ndarray, table: np.ndarray) -> float:
     return float(best)
 
 
-def _graded_expm_block(x: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Pade-13 scaling and squaring in the graded algebra, x of shape (nc, B, m, m).
-
-    The left-regular 1-norm of a point is max over fibre columns of the
-    column sums of |x_I| added over all components I, so the squarings match
-    _expm_block's.  The denominator w = w_0 (1 + n) with g = w_0^{-1} and
-    n = g w_+ nilpotent (w_+ the part of positive degree), so
-    w^{-1} = sum_{k <= dim} (-n)^k g.
-    """
-    nc = x.shape[0]
-    dim = nc.bit_length() - 1
-
-    def mul(p, q):
-        return _wedge_data(p, q, table)
-
-    s = _scaling_exponents(np.abs(x).sum(axis=(0, -2)).max(axis=-1))
-    a = x * (0.5 ** s)[:, None, None]
-    u, v = _pade13_uv(a, mul, _unit(a))
-    w = v - u
-    g = np.zeros_like(w)
-    g[0] = np.linalg.inv(w[0])
-    w[0] = 0.0
-    n = mul(g, w)
-    z = mul(g, v + u)
-    f = z
-    for _ in range(dim):
-        f = z - mul(n, f)
-    smax = int(s.max()) if s.size else 0
-    for r in range(smax):
-        todo = s > r
-        if todo.all():
-            f = mul(f, f)
-        else:
-            f[:, todo] = mul(f[:, todo], f[:, todo])
-    return f
-
-
-def _graded_expm(x: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """_graded_expm_block over the grid, chunked like expm_batched."""
-    nc, m = x.shape[0], x.shape[-1]
-    flat = x.reshape(nc, -1, m, m)
-    chunk = max(1, _EXPM_CHUNK // (nc * m * m))
-    out = np.empty_like(flat)
-    for start in range(0, flat.shape[1], chunk):
-        out[:, start : start + chunk] = _graded_expm_block(
-            flat[:, start : start + chunk], table
-        )
-    return out.reshape(x.shape)
-
-
 def algebra_exp(a: GradedMatrixForm, strict_parity: bool = False) -> GradedMatrixForm:
     """Exponential in the graded algebra, pointwise over the grid.
 
@@ -747,35 +679,25 @@ def algebra_exp(a: GradedMatrixForm, strict_parity: bool = False) -> GradedMatri
        quadrature, whose F0 = B_0^2 = |phi|^2 1 by the Clifford relation.
        Treating such an a_0 as exactly central evaluates exp(a - E): a
        backward error of at most u ||a||, the same bound the Pade-13 degree
-       and scaling of 3. and 4. are chosen to meet (Higham, SIAM J. Matrix
-       Anal. Appl. 26, 2005), so this adds no error beyond the reference's.
+       and scaling of 3. are chosen to meet (Higham, SIAM J. Matrix Anal.
+       Appl. 26, 2005), so this adds no error beyond the reference's.
     2. Fibre blocks: the fibre indices r, c linked by an entry a[r, c] or
        a[c, r] that is not exactly 0 in some component at some point fall
        into connected components.  With more than one, a is a direct sum of
        its blocks and so is exp(a) (Higham, Functions of Matrices, SIAM 2008,
        Thm 1.13): blocks of equal size and grading signature are stacked and
-       each stack is evaluated as a whole input is (1., 3. or 4., with the
+       each stack is evaluated as a whole input is (1. or 3., with the
        central test per block), and entries off the blocks stay exactly 0.
        Suspensions (oddk.suspend: the data as 1 (x) a and the fibre Dirac
        block, both diagonal in the fibre mode, so at least one block per
        mode) and direct sums (superconn.direct_sum, dk stabilizations) give
        such inputs; the suspended rank-98 curvature of the benchmark, whose
        data is diagonal too, is 49 blocks (1|1), each with a central F0.
-    3. Fibre rank m >= _GRADED_MIN_RANK[dim] (8 on T^1, 5 on T^2 and T^3):
-       Pade-13 scaling and squaring in the graded algebra on m x m blocks,
-       3**dim block products per algebra product instead of one product of
-       (2**dim m)-square matrices.
-    4. Otherwise the ordinary matrix exponential (expm_batched) of the
+    3. Otherwise the ordinary matrix exponential (expm_batched) of the
        left-regular representation on the 2**dim * m dimensional module,
        applied to the identity element.  This is also the reference the
-       others are tested against.
-
-    Crossover of 3. against 4., time of 4. over time of 3. on random even
-    inputs (two cores, OpenBLAS): T^1 N32-N256 0.6-0.8 at m = 4, 0.7-1.1 at
-    m = 5-7, 1.0-1.7 at m = 8, 1.2-2.2 at m = 12-40; T^2 N16-N32 0.3 at
-    m = 2, 0.9-1.5 at m = 4, 1.4 at m = 5, 1.7-3.1 from m = 6; T^3 N8 0.4 at
-    m = 2, 1.5-1.9 at m = 4, 2.0-5.8 from m = 5.  Ranks up to 4 with a
-    non-central degree-0 part stay on 4. on every chart.
+       others are tested against; it is itself tested against
+       scipy.linalg.expm.
     """
     if a.rank == 0:
         return GradedMatrixForm.zeros(a.chart, a.grading)
@@ -797,7 +719,7 @@ def _exp_data(x: np.ndarray, mag: np.ndarray, sig: np.ndarray) -> np.ndarray:
 
     mag is |x| and sig the grading signature of the m fibre indices.
     """
-    nc, m = x.shape[0], x.shape[-1]
+    m = x.shape[-1]
     table = np.outer(sig, sig)
     a0 = x[0]
     lam = np.einsum("...rr->...", a0) / m
@@ -813,9 +735,6 @@ def _exp_data(x: np.ndarray, mag: np.ndarray, sig: np.ndarray) -> np.ndarray:
     blocks = _fibre_blocks(mag)
     if len(blocks) > 1:
         return _exp_blocks(x, mag, sig, blocks)
-    dim = nc.bit_length() - 1
-    if dim and m >= _GRADED_MIN_RANK[dim]:
-        return _graded_expm(x, table)
     return _left_regular_exp(x, table)
 
 
@@ -885,25 +804,18 @@ class FormClassReport:
     closedness_residual: float
 
 
-def equal_mod_exact(
-    a: GradedMatrixForm,
-    b: GradedMatrixForm,
-    tol: float = 1e-8,
-    closed_tol: float | None = None,
-):
+def equal_mod_exact(a: GradedMatrixForm, b: GradedMatrixForm, tol: float = 1e-8):
     """Decide a = b mod Im(d) for closed scalar forms via harmonic parts.
 
-    Both inputs must be rank 1 and closed (checked to closed_tol, default
-    tol); equality holds iff the constant Fourier modes agree within tol.
+    Both inputs must be rank 1 and closed (checked to tol); equality holds
+    iff the constant Fourier modes agree within tol.
     Returns ``(bool, FormClassReport)``.
     """
     if a.rank != 1 or b.rank != 1:
         raise ChartMismatchError("equal_mod_exact expects scalar (rank-1) forms")
     a._check_compat(b)
-    if closed_tol is None:
-        closed_tol = tol
     closed_res = max(sup_norm(exterior_d(a)), sup_norm(exterior_d(b)))
-    is_closed = closed_res <= closed_tol
+    is_closed = closed_res <= tol
     if not is_closed:
         raise ClosednessError("equal_mod_exact input is not closed", closed_res)
     diff = harmonic_coefficients(a) - harmonic_coefficients(b)

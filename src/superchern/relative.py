@@ -181,9 +181,8 @@ def _xi_bump(x: np.ndarray, c: float) -> np.ndarray:
 def _xi_values(x: np.ndarray, c: float, xi_shape) -> np.ndarray:
     if xi_shape == "bump":
         return _xi_bump(x, c)
-    if isinstance(xi_shape, tuple) and xi_shape and xi_shape[0] == "gauss":
-        alpha = xi_shape[1] if len(xi_shape) > 1 else 6.0
-        return np.exp(-alpha * (x / c) ** 2)
+    if isinstance(xi_shape, tuple) and len(xi_shape) == 2 and xi_shape[0] == "gauss":
+        return np.exp(-xi_shape[1] * (x / c) ** 2)
     raise ValueError(f"unknown cutoff shape {xi_shape!r}")
 
 
@@ -212,8 +211,9 @@ def parametrix(
             )
     xi = _xi_values(w, c, xi_shape)
     safe = np.where(np.abs(w) < 1e-300, 1.0, w)
-    fw = np.where(np.abs(w) > c, 1.0 / safe, (1.0 - xi) / safe)
-    if xi_shape != "bump":
+    if xi_shape == "bump":
+        fw = np.where(np.abs(w) > c, 1.0 / safe, (1.0 - xi) / safe)
+    else:
         fw = (1.0 - xi) / safe
     return (v * fw[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
 
@@ -398,18 +398,18 @@ def cor2_defect(
     return defect, report
 
 
-def spectral_flow(path, samples: int = 64, refine: int = 24, endpoint_tol: float = 1e-9):
+def spectral_flow(path, samples: int = 64):
     """Signed count of eigenvalue zero crossings along a path of hermitian matrices.
 
     path(t) returns a hermitian matrix for t in [0, 1].  The count is the net
-    number of eigenvalues moving from negative to positive, localized by
-    bisecting every sample interval across which the negative count changes.
-    Raises if an endpoint eigenvalue sits on zero within endpoint_tol.
+    number of eigenvalues moving from negative to positive, localized by 24
+    bisections of every sample interval across which the negative count
+    changes.  Raises if an endpoint eigenvalue is within 1e-9 of zero.
     """
 
     def neg_count(t):
         evals = np.linalg.eigvalsh(np.asarray(path(t)))
-        if t in (0.0, 1.0) and np.abs(evals).min(initial=np.inf) < endpoint_tol:
+        if t in (0.0, 1.0) and np.abs(evals).min(initial=np.inf) < 1e-9:
             raise NotInvertibleError(
                 "spectral_flow endpoint has a zero eigenvalue",
                 float(np.abs(evals).min()),
@@ -424,7 +424,7 @@ def spectral_flow(path, samples: int = 64, refine: int = 24, endpoint_tol: float
         delta = counts[i] - counts[i + 1]
         if delta != 0:
             lo, hi = float(ts[i]), float(ts[i + 1])
-            for _ in range(refine):
+            for _ in range(24):
                 mid = 0.5 * (lo + hi)
                 if counts[i] - neg_count(mid) != 0:
                     hi = mid

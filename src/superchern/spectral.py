@@ -179,13 +179,11 @@ def trace_cyclicity_check(
     f2: TruncatedOperator,
     t: float,
     eps: float,
-    k1: int = 0,
-    k2: int = 0,
 ) -> dict:
     """Three-way agreement of Tr(F1 e^{-tP^2} F2) under cyclic rotation.
 
     Also reports the trace norm of F1 e^{-tP^2} F2 and its ratio to
-    |F1|_{k1,k1} |F2|_{k2,0} (the constant in that bound is not explicit, so
+    |F1|_{0,0} |F2|_{0,0} (the constant in that bound is not explicit, so
     only the measured ratio is printed).
     """
     if not t >= eps > 0:
@@ -196,7 +194,7 @@ def trace_cyclicity_check(
     t3 = complex(np.trace(f2.matrix @ f1.matrix @ heat))
     spread = max(abs(t1 - t2), abs(t1 - t3), abs(t2 - t3))
     trace_norm = float(np.linalg.svd(f1.matrix @ heat @ f2.matrix, compute_uv=False).sum())
-    denom = sobolev_norm(f1, k1, k1) * sobolev_norm(f2, k2, 0)
+    denom = sobolev_norm(f1, 0, 0) * sobolev_norm(f2, 0, 0)
     return {
         "values": (t1, t2, t3),
         "spread": spread,
@@ -205,21 +203,14 @@ def trace_cyclicity_check(
     }
 
 
-def duhamel_derivative(
-    path,
-    u: float,
-    eps: float,
-    du: float = 1e-5,
-    order: int = 32,
-    fd_step: float = 0.05,
-) -> dict:
+def duhamel_derivative(path, u: float, eps: float) -> dict:
     """Derivative of u -> exp(-eps f(u)^2) via the heat-sandwich integral.
 
     Computes -int_0^eps exp(-sigma f^2) (d f^2/du) exp(-(eps-sigma) f^2)
-    d sigma by Gauss quadrature (d f^2/du from a central difference with the
-    small step du), and compares against central finite differences of the
-    exponential at steps fd_step and fd_step/2; the error ratio of the two
-    should sit near 4 for a second-order-accurate comparison.
+    d sigma by 32-node Gauss quadrature (d f^2/du from a central difference
+    with the small step 1e-5), and compares against central finite
+    differences of the exponential at steps 0.05 and 0.025; the error ratio
+    of the two should sit near 4 for a second-order-accurate comparison.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -230,8 +221,9 @@ def duhamel_derivative(
 
     f0 = fmat(u)
     fsq = f0 @ f0
+    du = 1e-5
     dfsq = (fmat(u + du) @ fmat(u + du) - fmat(u - du) @ fmat(u - du)) / (2.0 * du)
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(32)
     sigma = 0.5 * eps * (nodes + 1.0)
     w = 0.5 * eps * weights
     # exp(-sigma F^2) for all nodes in one batch, both endpoints of the sandwich
@@ -247,8 +239,8 @@ def duhamel_derivative(
         fd = (heat_at(u + h) - heat_at(u - h)) / (2.0 * h)
         return float(np.abs(fd - integral).max())
 
-    r1 = fd_residual(fd_step)
-    r2 = fd_residual(fd_step / 2.0)
+    r1 = fd_residual(0.05)
+    r2 = fd_residual(0.05 / 2.0)
     return {
         "derivative": integral,
         "fd_residual": r1,
@@ -275,18 +267,13 @@ def _growth_slope(norms_by_cutoff):
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def parametrix_test(
-    factory,
-    cutoffs=(8, 16, 32, 64),
-    s_range=range(-4, 5),
-    slope_threshold: float = 0.5,
-) -> dict:
+def parametrix_test(factory, cutoffs=(8, 16, 32, 64)) -> dict:
     """Diagnostic boundedness trends for a candidate parametrix pair.
 
     factory(N) must return (P, Q) as TruncatedOperator at cutoff N.  For each
     cutoff the table records |PQ - I|_{-1,s}, |QP - I|_{-1,s} and
-    ||P|^{-1}|_{-1,s}; the classification compares the growth of the worst
-    norm across cutoffs against slope_threshold on a log-log fit.  This is a
+    ||P|^{-1}|_{-1,s} for s = -4..4; the classification compares the slope
+    of the worst norm across cutoffs on a log-log fit against 0.5.  This is a
     heuristic trend report, not a statement about the untruncated operators.
     """
     tables = {"pq": [], "qp": [], "pinv": []}
@@ -300,7 +287,7 @@ def parametrix_test(
         pinv_mat = (vecs / absw[None, :]) @ np.conj(vecs.T)
         pinv = TruncatedOperator(pinv_mat, p.reference, p.doubled)
         for name, op in (("pq", pq), ("qp", qp), ("pinv", pinv)):
-            for s in s_range:
+            for s in range(-4, 5):
                 tables[name].append((n, -1, int(s), sobolev_norm(op, -1, s)))
     report = {"tables": tables, "cutoffs": list(cutoffs)}
     trends = {}
@@ -315,7 +302,7 @@ def parametrix_test(
             "worst_norms": worst,
             "slope": slope,
             "classification": "bounded-trend"
-            if negligible or slope < slope_threshold
+            if negligible or slope < 0.5
             else "growing",
         }
     report["trends"] = trends

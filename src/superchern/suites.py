@@ -141,21 +141,16 @@ class Report:
     def passed(self) -> bool:
         return all(r.passed for r in self.records)
 
-    def payload(self, with_timings=True) -> dict:
-        body = {
+    def payload(self) -> dict:
+        return {
             "schema": 1,
             "suite": self.suite,
             "config": self.config,
             "passed": self.passed,
-            "records": [
-                r.payload(with_timing=with_timings)
-                for r in sorted(self.records, key=lambda r: r.name)
-            ],
+            "records": [r.payload() for r in sorted(self.records, key=lambda r: r.name)],
+            "content_hash": self.content_hash(),
+            "environment": self.environment,
         }
-        body["content_hash"] = self.content_hash()
-        if with_timings:
-            body["environment"] = self.environment
-        return body
 
     def content_hash(self) -> str:
         stable = {
@@ -170,8 +165,8 @@ class Report:
         blob = json.dumps(stable, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
-    def to_json(self, with_timings=True) -> str:
-        return json.dumps(self.payload(with_timings), sort_keys=True, indent=1)
+    def to_json(self) -> str:
+        return json.dumps(self.payload(), sort_keys=True, indent=1)
 
     def to_csv_rows(self):
         yield ("name", "anchor", "residual", "tolerance", "passed")

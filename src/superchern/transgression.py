@@ -37,14 +37,16 @@ __all__ = [
     "eta_along_path",
 ]
 
+# factor on the integrand's size at t = 1 in eta_infinity's Gaussian tail bound
+_TAIL_SAFETY = 10.0
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Composite Gauss-Legendre settings and the tail safety factor."""
+    """Composite Gauss-Legendre settings."""
 
     panels: int = 8
     order: int = 16
-    tail_safety: float = 10.0
 
     def __post_init__(self):
         if self.panels < 1:
@@ -183,7 +185,7 @@ def eta_infinity(
         return trace_wedge(w, rescale_derivative(a, t), heat)
 
     start = integrand(1.0)
-    big_c = max(start.sup_norm(), tol) * cfg.tail_safety
+    big_c = max(start.sup_norm(), tol) * _TAIL_SAFETY
     if big_c <= tol:
         t_max = 1.0 + 1.0 / c
     else:

@@ -61,6 +61,9 @@ __all__ = [
     "twisted_equal_mod_exact",
 ]
 
+# absolute tolerance of the Cech cocycle checks and of the closedness of H
+_TOL = 1e-10
+
 
 # -- Cech data ----------------------------------------------------------------
 
@@ -148,7 +151,7 @@ class GerbeData:
         return base if inversions % 2 == 0 else np.conj(base)
 
 
-def verify_gerbe(g: GerbeData, tol: float = 1e-10) -> dict:
+def verify_gerbe(g: GerbeData) -> dict:
     """Check unit modulus and the associativity (coboundary) condition.
 
     On every quadruple overlap core the combination
@@ -176,7 +179,7 @@ def verify_gerbe(g: GerbeData, tol: float = 1e-10) -> dict:
         "max_violation": worst,
         "max_modulus_defect": worst_modulus,
         "quadruples_checked": checked,
-        "passes": worst <= tol and worst_modulus <= tol,
+        "passes": worst <= _TOL and worst_modulus <= _TOL,
     }
 
 
@@ -192,9 +195,7 @@ class ConnectiveStructure:
         return base if i < j else -1 * base
 
 
-def verify_connective(
-    cs: ConnectiveStructure, g: GerbeData, tol: float = 1e-10
-) -> dict:
+def verify_connective(cs: ConnectiveStructure, g: GerbeData) -> dict:
     """delta a = -dlog mu on triple overlap cores: a_ij + a_jk - a_ik = mu^* d mu."""
     cover = cs.cover
     worst = 0.0
@@ -212,7 +213,7 @@ def verify_connective(
             rhs = dlog.component((axis,))[..., 0, 0] * np.conj(mu)
             worst = max(worst, float(np.abs((lhs - rhs)[core]).max(initial=0.0)))
         checked += 1
-    return {"max_violation": worst, "triples_checked": checked, "passes": worst <= tol}
+    return {"max_violation": worst, "triples_checked": checked, "passes": worst <= _TOL}
 
 
 @dataclass
@@ -223,7 +224,7 @@ class Curving:
     kappas: list  # GradedMatrixForm, degree 2, rank 1, one per set
 
 
-def verify_curving(k: Curving, cs: ConnectiveStructure, tol: float = 1e-10) -> dict:
+def verify_curving(k: Curving, cs: ConnectiveStructure) -> dict:
     """kappa_i - kappa_j = d a_{ij} on pair overlap cores."""
     cover = k.cover
     worst = 0.0
@@ -236,12 +237,10 @@ def verify_curving(k: Curving, cs: ConnectiveStructure, tol: float = 1e-10) -> d
         diff = k.kappas[i] - k.kappas[j] - da
         worst = max(worst, float(np.abs(diff.data[:, core]).max(initial=0.0)))
         checked += 1
-    return {"max_violation": worst, "pairs_checked": checked, "passes": worst <= tol}
+    return {"max_violation": worst, "pairs_checked": checked, "passes": worst <= _TOL}
 
 
-def curving_field_strength(
-    k: Curving, cs: ConnectiveStructure | None = None, tol: float = 1e-10
-) -> tuple:
+def curving_field_strength(k: Curving, cs: ConnectiveStructure | None = None) -> tuple:
     """Global 3-form H with H|_{U_i} = d kappa_i, plus the coherence report.
 
     The d kappa_i are compared pairwise on overlap cores before gluing by a
@@ -256,7 +255,7 @@ def curving_field_strength(
         if core.any():
             diff = dks[i] - dks[j]
             worst = max(worst, float(np.abs(diff.data[:, core]).max(initial=0.0)))
-    if worst > tol:
+    if worst > _TOL:
         raise ClosednessError("d kappa_i disagree on overlaps", worst)
     weights = np.stack([u.mask for u in cover.sets])
     total = weights.sum(axis=0)
@@ -267,7 +266,7 @@ def curving_field_strength(
     report = {
         "overlap_mismatch": worst,
         "dH": dh,
-        "passes": worst <= tol and dh <= tol,
+        "passes": worst <= _TOL and dh <= _TOL,
     }
     return h, report
 
@@ -275,12 +274,11 @@ def curving_field_strength(
 # -- twisted de Rham -----------------------------------------------------------
 
 
-def d_H(xi: GradedMatrixForm, h: GradedMatrixForm, check: bool = True, tol=1e-10):
-    """d xi + H ^ xi for a closed 3-form H."""
-    if check:
-        res = sup_norm(exterior_d(h))
-        if res > tol:
-            raise ClosednessError("twisting 3-form is not closed", res)
+def d_H(xi: GradedMatrixForm, h: GradedMatrixForm):
+    """d xi + H ^ xi for a closed 3-form H; raises if H is not closed."""
+    res = sup_norm(exterior_d(h))
+    if res > _TOL:
+        raise ClosednessError("twisting 3-form is not closed", res)
     return exterior_d(xi) + wedge_mul(h, xi)
 
 
@@ -422,12 +420,7 @@ def _scalar_to_modes(xi: GradedMatrixForm) -> np.ndarray:
     return out
 
 
-def is_dH_exact(
-    target: GradedMatrixForm,
-    h: GradedMatrixForm,
-    tol: float = 1e-8,
-    maxiter: int | None = None,
-):
+def is_dH_exact(target: GradedMatrixForm, h: GradedMatrixForm, tol: float = 1e-8):
     """Least-squares d_H-primitive search in the truncated Fourier basis.
 
     Returns (is_exact, residual_norm); the residual is the sup of the
@@ -441,7 +434,7 @@ def is_dH_exact(
         rhs,
         atol=1e-14,
         btol=1e-14,
-        iter_lim=maxiter or 8 * rhs.size,
+        iter_lim=8 * rhs.size,
     )
     resid_modes = rhs - mat @ result[0]
     # sup norm on the grid is bounded by the l1 norm of the mode residual

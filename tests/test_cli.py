@@ -145,6 +145,24 @@ class TestCLI:
         assert res.returncode == 2
         assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
 
+    def test_verify_all_reads_config(self, tmp_path):
+        config = tmp_path / "config.json"
+        save_scene(config, {"seed": 7})
+        out = tmp_path / "r.json"
+        res = run_cli("verify", "all", "--grid", "8", "--config", str(config), "--out", str(out))
+        assert res.returncode in (0, 1), res.stderr
+        reports = sorted(tmp_path.glob("r-*.json"))
+        assert len(reports) == 7
+        configs = [json.loads(p.read_text())["config"] for p in reports]
+        assert all(c["seed"] == 7 and c["grid"] == 8 for c in configs)
+
+    def test_verify_all_config_naming_a_suite_is_input_error(self, tmp_path):
+        config = tmp_path / "config.json"
+        save_scene(config, {"suite": "odd"})
+        res = run_cli("verify", "all", "--config", str(config))
+        assert res.returncode == 2
+        assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+
     def test_csv_output(self, tmp_path):
         out = tmp_path / "r.csv"
         res = run_cli("verify", "spectral-lemmas", "--format", "csv", "--out", str(out))
@@ -301,6 +319,31 @@ class TestCLI:
         save_scene(sets, {})
         res = run_cli("relative", "index", "--scene", str(scene), "--open-set", str(sets))
         assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--alpha", "nan"), ("--alpha", "-3"), ("--alpha", "0"), ("--alpha", "inf"),
+         ("--c-frac", "0"), ("--c-frac", "-0.5"), ("--c-frac", "nan"), ("--c-frac", "inf")],
+    )
+    def test_bad_relative_flag_is_input_error(self, tmp_path, flag, value):
+        a, _, _, zeros = winding_testbed(32)
+        scene = tmp_path / "scene.json"
+        save_scene(scene, {"superconnection": superconnection_to_dict(a)})
+        sets = tmp_path / "sets.json"
+        save_scene(
+            sets,
+            {
+                "type": "open_set",
+                "kind": "complement",
+                "boxes": [{"center": list(z), "core": 0.10, "support": 0.26} for z in zeros],
+            },
+        )
+        res = run_cli(
+            "relative", "index", "--scene", str(scene), "--open-set", str(sets), flag, value
+        )
+        assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
 

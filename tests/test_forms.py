@@ -328,9 +328,9 @@ EXP_SCENES = {
     "T2-rank4": (lambda: _curv(TorusChart(2, 8), 2, 2, 4), "left-regular"),
     "T2-rank4-product": (lambda: _product(TorusChart(2, 8), 19), "central"),
     "T3-rank2": (lambda: _curv(TorusChart(3, 4), 1, 1, 5), "central"),
-    "T2-rank6": (lambda: _curv(TorusChart(2, 8), 3, 3, 6), "graded"),
-    "T3-rank6": (lambda: _curv(TorusChart(3, 4), 3, 3, 7), "graded"),
-    "T1-rank26": (lambda: _curv(TorusChart(1, 8), 13, 13, 8), "graded"),
+    "T2-rank6": (lambda: _curv(TorusChart(2, 8), 3, 3, 6), "left-regular"),
+    "T3-rank6": (lambda: _curv(TorusChart(3, 4), 3, 3, 7), "left-regular"),
+    "T1-rank26": (lambda: _curv(TorusChart(1, 8), 13, 13, 8), "left-regular"),
     "T2-rank98-suspension": (_suspension, "split central"),  # 49 blocks (1|1)
     "point-F0-zero": (lambda: _curv(TorusChart(0), 1, 1, 15, amp0=0.0), "central"),
     "T1-rank12-F0-zero": (lambda: _curv(TorusChart(1, 16), 6, 6, 16, amp0=0.0), "central"),
@@ -343,7 +343,7 @@ EXP_SCENES = {
     "T1-affine-rank6": (lambda: _affine(TorusChart(1, 16), 1, modes=1), "split central"),
     "T1-affine-rank10": (lambda: _affine(TorusChart(1, 16), 2, modes=2), "split central"),
     "T3-twisted-rank2": (lambda: _twisted(TorusChart(3, 4), 1, 1, 11), "central"),
-    "T3-twisted-rank6": (lambda: _twisted(TorusChart(3, 4), 3, 3, 12), "graded"),
+    "T3-twisted-rank6": (lambda: _twisted(TorusChart(3, 4), 3, 3, 12), "left-regular"),
     "T2-twisted-F0-zero": (lambda: _twisted(TorusChart(2, 8), 2, 2, 13, amp0=0.0), "central"),
     "T2-blocks-permuted": (
         lambda: _even_sum(TorusChart(2, 8), [G11, G11], PERMUTED, 56),
@@ -400,7 +400,6 @@ def dispatch(monkeypatch):
     taken = []
     for name, path in (
         ("_nilpotent_exp", "central"),
-        ("_graded_expm", "graded"),
         ("_left_regular_exp", "left-regular"),
         ("_exp_blocks", "split"),
     ):
@@ -440,6 +439,18 @@ class TestAlgebraExpDispatch:
         with pytest.warns(ParityWarning):
             algebra_exp(bad)
         assert " ".join(dispatch) == EXP_SCENES[scene][1]
+
+    # whole inputs of fibre rank 6 to 26: the reference path is checked
+    # against scipy rather than against itself
+    @pytest.mark.parametrize("scene", ["T2-rank6", "T3-rank6", "T1-rank26", "T3-twisted-rank6"])
+    def test_reference_matches_scipy(self, scene):
+        a = EXP_SCENES[scene][0]()
+        m, d = a.rank, a.chart.n_components * a.rank
+        lr = left_regular_matrix(a).reshape(-1, d, d)
+        assert lr.shape[0] >= 8
+        ref = np.stack([sla.expm(x)[:, :m] for x in lr])
+        got = np.moveaxis(algebra_exp(a, strict_parity=True).data, 0, -3).reshape(ref.shape)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestCentralDegreeZero:
@@ -553,7 +564,7 @@ class TestFibreProduct:
     def test_nilpotent_exp_keeps_division_bits(self, grading):
         x = _nilpotent(TorusChart(3, 4), grading, 52).data
         table = grading.conj_table()
-        ref = x + forms._unit(x)
+        ref = x + GradedMatrixForm.identity(TorusChart(3, 4), grading).data
         term = x
         for k in (2, 3):
             term = forms._wedge_data(term, x, table) / k
