@@ -4,7 +4,8 @@
     PYTHONPATH=src python check_outcomes.py run --seeds 0-19 --out head.json
     python check_outcomes.py compare base.json head.json
 
-``run`` executes the benchmark's six suites at their default grids through
+``run`` executes the benchmark's six suites and ``dk-relations`` (the only
+suite that reaches ``dk.kernel_reduce``) at their default grids through
 ``run_suite``, one seed after another, and writes every record's residual
 and outcome.  ``compare`` prints every record whose residual changed and
 exits 1 if a (seed, check) pair passes on the first tree and fails on the
@@ -17,7 +18,15 @@ import argparse
 import json
 import sys
 
-SUITES = ("eta-identities", "odd", "chern-identities", "relative", "twisted", "spectral-lemmas")
+SUITES = (
+    "eta-identities",
+    "odd",
+    "chern-identities",
+    "relative",
+    "twisted",
+    "spectral-lemmas",
+    "dk-relations",
+)
 
 
 def seed_list(text: str) -> list:

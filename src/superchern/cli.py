@@ -30,6 +30,7 @@ from .serialize import (
     cocycle_to_dict,
     load_scene,
     open_set_from_dict,
+    oracle_boxes_from_dict,
     save_scene,
     stabilizer_from_dict,
     superconnection_from_dict,
@@ -221,6 +222,7 @@ def _cmd_relative_index(args) -> int:
         scene = load_scene(args.scene)
         a = superconnection_from_dict(scene["superconnection"])
         u = open_set_from_dict(load_scene(args.open_set), a.chart)
+        boxes = oracle_boxes_from_dict(scene)
     except (SceneError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -252,10 +254,8 @@ def _cmd_relative_index(args) -> int:
         out["total_period_over_2pii"] = repr(
             integrate(chi.omega, (0, 1)) / (2j * np.pi)
         )
-        boxes = scene.get("oracle_boxes", [])
         oracle = []
-        for b in boxes:
-            center, radius = b["center"], b["radius"]
+        for center, radius in boxes:
             per = box_integral(chi.omega, (0, 1), (center, radius)) / (2j * np.pi)
             t0 = a.term0_field()
             field = t0[..., 1, 0] if a.rank >= 2 else t0[..., 0, 0]

@@ -27,10 +27,10 @@ from .forms import (
     GradedMatrixForm,
     Grading,
     TorusChart,
-    _derivative_multiplier,
+    _axis_derivative,
     exterior_d,
 )
-from .superconn import Superconnection, chern_character, direct_sum
+from .superconn import Superconnection, chern_character, direct_sum, projected_connection
 from .superconn import product as sc_product
 from .transgression import QuadratureConfig, eta_between, eta_infinity
 
@@ -355,21 +355,12 @@ def kernel_reduce(
     rank, k_plus, k_minus, q, c_perp, fplus, fminus = _kernel_data(a, rank_tol)
     k = k_plus + k_minus
 
+    conn = [a.coeff.data[1 << axis] for axis in range(chart.dim)]
+    b = projected_connection(q, conn, chart, a.grading)
     p_perp = np.eye(m) - q
-    b_coeff = GradedMatrixForm.zeros(chart, a.grading)
-    b_coeff.data[0] = p_perp @ a.coeff.data[0] @ p_perp
-    q_form = GradedMatrixForm.from_matrix_field(chart, a.grading, q)
-    dq = exterior_d(q_form)
-    for axis in range(chart.dim):
-        w = a.coeff.data[1 << axis]
-        dq_ax = dq.data[1 << axis]
-        b_coeff.data[1 << axis] = (
-            p_perp @ w @ p_perp + q @ w @ q + 2.0 * (q @ dq_ax) - dq_ax
-        )
     for mask in range(chart.n_components):
-        if bin(mask).count("1") >= 2:
-            b_coeff.data[mask] = p_perp @ a.coeff.data[mask] @ p_perp
-    b = Superconnection(b_coeff)
+        if bin(mask).count("1") != 1:
+            b.coeff.data[mask] = p_perp @ a.coeff.data[mask] @ p_perp
 
     omega = c.omega + eta_between(a, b, cfg).form
     if rank > 0:
@@ -384,17 +375,8 @@ def kernel_reduce(
     grading_red = Grading.balanced(k_plus, k_minus)
     red_coeff = GradedMatrixForm.zeros(chart, grading_red)
     fr_h = np.conj(np.swapaxes(frames, -1, -2))
-    if chart.dim:
-        n = chart.grid_size
-        mult = _derivative_multiplier(n)
-        for axis in range(chart.dim):
-            shape = [1] * (chart.dim + 2)
-            shape[axis] = n
-            dv = np.fft.ifft(
-                np.fft.fft(frames, axis=axis) * mult.reshape(shape), axis=axis
-            )
-            w = a.coeff.data[1 << axis]
-            red_coeff.data[1 << axis] = fr_h @ (dv + w @ frames)
+    for axis, w in enumerate(conn):
+        red_coeff.data[1 << axis] = fr_h @ (_axis_derivative(frames, axis) + w @ frames)
     a_red = Superconnection(red_coeff)
     # the discrete-transport gauge carries O(h^2) jitter; only gross
     # convention violations are worth a diagnostic here

@@ -394,11 +394,20 @@ def _wedge_data(x: np.ndarray, y: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def _derivative_multiplier(n: int) -> np.ndarray:
     """Spectral derivative multiplier 2 pi i k with the Nyquist mode zeroed."""
     k = np.fft.fftfreq(n, d=1.0 / n)
     k[n // 2] = 0.0
     return 2j * np.pi * k
+
+
+def _axis_derivative(x: np.ndarray, axis: int) -> np.ndarray:
+    """Spectral derivative of grid samples x along one periodic grid axis."""
+    shape = [1] * x.ndim
+    shape[axis] = x.shape[axis]
+    mult = _derivative_multiplier(x.shape[axis]).reshape(shape)
+    return np.fft.ifft(np.fft.fft(x, axis=axis) * mult, axis=axis)
 
 
 def exterior_d(a: GradedMatrixForm) -> GradedMatrixForm:
@@ -407,12 +416,8 @@ def exterior_d(a: GradedMatrixForm) -> GradedMatrixForm:
     out = GradedMatrixForm.zeros(chart, a.grading)
     if chart.dim == 0 or a.rank == 0:
         return out
-    n = chart.grid_size
-    mult = _derivative_multiplier(n)
+    signs = _wedge_signs(chart.dim)
     for axis in range(chart.dim):
-        shape = [1] * (chart.dim + 2)
-        shape[axis] = n
-        mult_axis = mult.reshape(shape)
         bit = 1 << axis
         for mask in range(chart.n_components):
             if mask & bit:
@@ -420,9 +425,8 @@ def exterior_d(a: GradedMatrixForm) -> GradedMatrixForm:
             comp = a.data[mask]
             if not comp.any():
                 continue
-            der = np.fft.ifft(np.fft.fft(comp, axis=axis) * mult_axis, axis=axis)
-            sign = -1 if _popcount(mask & (bit - 1)) % 2 else 1
-            out.data[mask | bit] += sign * der
+            # dx_axis ^ dx_mask, reordered to increasing axes
+            out.data[mask | bit] += signs[bit, mask] * _axis_derivative(comp, axis)
     return out
 
 

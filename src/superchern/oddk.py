@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dk import DKCocycle
 from .errors import ChartMismatchError
-from .forms import GradedMatrixForm, Grading, TorusChart, exterior_d, wedge_mul
-from .superconn import Superconnection, curvature
+from .forms import GradedMatrixForm, Grading, TorusChart, algebra_exp, exterior_d, wedge_mul
+from .superconn import Superconnection, curvature, direct_sum
 from .transgression import EtaResult, QuadratureConfig, eta_between, eta_infinity
 
 __all__ = [
@@ -133,10 +134,7 @@ def _sigma_weight(rank: int) -> np.ndarray:
 
 def odd_chern(a: Superconnection) -> GradedMatrixForm:
     """Tr_sigma exp(-(sigma-lift)^2); a closed scalar form of odd degrees."""
-    lifted = sigma_lift(a)
-    from .forms import algebra_exp  # local to avoid cycle at import time
-
-    return tr_sigma(algebra_exp(-curvature(lifted)))
+    return tr_sigma(algebra_exp(-curvature(sigma_lift(a))))
 
 
 def odd_eta_between(
@@ -184,8 +182,6 @@ def odd_curvature_class(c: OddCocycle) -> GradedMatrixForm:
 
 
 def odd_cocycle_add(c1: OddCocycle, c2: OddCocycle) -> OddCocycle:
-    from .superconn import direct_sum
-
     if c1.chart != c2.chart:
         raise ChartMismatchError("cocycle sum requires a common chart")
     return OddCocycle(direct_sum(c1.A, c2.A), c1.omega + c2.omega)
@@ -212,55 +208,45 @@ def suspend(c: OddCocycle, fiber_modes: int = 6, grid_size: int | None = None):
 
     The new circle coordinate u (period 1, inserted as axis 0) twists a
     truncated fiber Dirac block diag(i (n - u)) on modes |n| <= fiber_modes;
-    the ungraded data rides along through its sigma-block embedding on the
-    doubled fiber, and omega becomes 2 pi du ^ omega (the new coordinate is
+    the ungraded data rides along through sigma_lift of its pullback on every
+    fiber mode, and omega becomes 2 pi du ^ omega (the new coordinate is
     unit-period, so the circle form picks up the 2 pi length factor).  The
     mode-shift clutching of the fiber block makes its u-dependence affine,
     which the superconnection carries as an exact slope; contributions of the
-    edge modes are Gaussian-suppressed by the heat factors.
+    edge modes are Gaussian-suppressed by the heat factors.  The new axis
+    takes the base grid (grid_size may only repeat it; 8 over a point base).
     """
-    from .dk import DKCocycle
-
     chart = c.chart
     if chart.dim + 1 > 3:
         raise ChartMismatchError("suspension would exceed dimension 3")
-    new_chart = TorusChart(chart.dim + 1, grid_size or max(chart.grid_size, 8))
+    if chart.dim and grid_size not in (None, chart.grid_size):
+        raise ChartMismatchError(
+            f"suspension keeps the base grid {chart.grid_size}, got grid_size {grid_size}"
+        )
+    new_chart = TorusChart(chart.dim + 1, chart.grid_size if chart.dim else grid_size or 8)
     m = c.rank
     n_modes = 2 * fiber_modes + 1
     fiber_n = np.arange(-fiber_modes, fiber_modes + 1, dtype=np.float64)
     big = n_modes * m
-    grading = Grading.balanced(big, big)
-
-    def pull_field(field):
-        """Insert the new axis 0 into a field sampled on the old chart."""
-        return np.broadcast_to(
-            field[None, ...], (new_chart.grid_size,) + field.shape
-        ).copy()
 
     # Fibre index (half, n, k) at position half * big + n * m + k.  Every
     # piece below is diagonal in the fibre mode n: the data as 1_f (x) a, the
     # Dirac block diag(i (n - u)) and both slopes.  The curvature is then a
     # direct sum over n of (m|m) blocks (finer when a is), which
-    # forms.algebra_exp exponentiates block by block.
-    coeff = GradedMatrixForm.zeros(new_chart, grading)
+    # forms.algebra_exp exponentiates block by block.  Assigning a base field
+    # to a component of the new chart repeats it along the new axis 0.
+    pulled = GradedMatrixForm.zeros(new_chart, Grading.trivial(big))
     eye_f = np.eye(n_modes)
-    # sigma-block embedding of the pulled-back data on the doubled fiber
     for mask in range(chart.n_components):
         comp = c.A.coeff.data[mask]
-        if not comp.any():
-            continue
-        block = np.einsum("ij,...kl->...ikjl", eye_f, comp).reshape(
-            comp.shape[:-2] + (big, big)
-        )
-        block = pull_field(block)
-        new_mask = mask << 1
-        if bin(mask).count("1") % 2 == 0:
-            coeff.data[new_mask, ..., :big, big:] += block
-            coeff.data[new_mask, ..., big:, :big] += block
-        else:
-            coeff.data[new_mask, ..., :big, :big] += block
-            coeff.data[new_mask, ..., big:, big:] += block
+        if comp.any():
+            pulled.data[mask << 1] = np.einsum("ij,...kl->...ikjl", eye_f, comp).reshape(
+                comp.shape[:-2] + (big, big)
+            )
+    slopes = {axis + 1: np.kron(eye_f, slope) for axis, slope in c.A.affine.items()}
+    lifted = sigma_lift(Superconnection(pulled, slopes))
     # fiber Dirac block i (n - u), odd against the doubling
+    coeff = lifted.coeff
     nu = new_chart.grid_size
     u1d = np.arange(nu) / nu
     tmat = np.zeros((nu, n_modes, n_modes), dtype=np.complex128)
@@ -274,19 +260,11 @@ def suspend(c: OddCocycle, fiber_modes: int = 6, grid_size: int | None = None):
     s_small = np.kron(-1j * np.eye(n_modes), np.eye(m))
     slope[:big, big:] = s_small
     slope[big:, :big] = np.conj(s_small.T)
-    affine = {0: slope}
-    for axis, old_slope in c.A.affine.items():
-        big_slope = np.zeros((2 * big, 2 * big), dtype=np.complex128)
-        emb = np.kron(np.eye(n_modes), old_slope)
-        big_slope[:big, big:] = emb
-        big_slope[big:, :big] = emb
-        affine[axis + 1] = big_slope
-    a_new = Superconnection(coeff, affine)
+    a_new = Superconnection(coeff, {0: slope, **lifted.affine})
 
     omega_new = GradedMatrixForm.zeros(new_chart, Grading.trivial(1))
     for mask in range(chart.n_components):
-        comp = c.omega.data[mask][..., 0, 0]
-        if not comp.any():
-            continue
-        omega_new.data[(mask << 1) | 1, ..., 0, 0] = 2.0 * np.pi * pull_field(comp)
+        comp = c.omega.data[mask]
+        if comp.any():
+            omega_new.data[(mask << 1) | 1] = 2.0 * np.pi * comp
     return DKCocycle(a_new, omega_new)

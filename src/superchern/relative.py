@@ -26,7 +26,7 @@ from .forms import (
     exterior_d,
     supertrace,
 )
-from .superconn import Superconnection, chern_character, curvature
+from .superconn import Superconnection, chern_character, curvature, projected_connection
 from .transgression import QuadratureConfig, eta_between, eta_infinity
 
 __all__ = [
@@ -296,25 +296,6 @@ def relative_chern_pair(
     return RelativeForm(chern_character(a), eta.form)
 
 
-def _projected_connection(
-    p: np.ndarray, omega_axes: list, chart: TorusChart, grading: Grading
-) -> Superconnection:
-    """Superconnection d + [P w P + (1-P) w (1-P) + 2 P dP - dP] for a projector field P.
-
-    omega_axes holds w per axis, or None on an axis where it vanishes.
-    """
-    coeff = GradedMatrixForm.zeros(chart, grading)
-    dp = exterior_d(GradedMatrixForm.from_matrix_field(chart, grading, p))
-    for axis, w in enumerate(omega_axes):
-        dpa = dp.data[1 << axis]
-        blend = 2.0 * (p @ dpa) - dpa
-        if w is not None:
-            p_perp = np.eye(grading.rank) - p
-            blend = blend + p @ w @ p + p_perp @ w @ p_perp
-        coeff.data[1 << axis] = blend
-    return Superconnection(coeff)
-
-
 def index_character(
     a: Superconnection, u: OpenSet, c: float | None = None, xi_shape="bump"
 ) -> RelativeForm:
@@ -359,7 +340,7 @@ def index_character(
             big[..., :m, :m] = w
             big[..., m:, m:] = w
         omega_axes.append(big)
-    heat = algebra_exp(-curvature(_projected_connection(pr.p, omega_axes, chart, grading2)))
+    heat = algebra_exp(-curvature(projected_connection(pr.p, omega_axes, chart, grading2)))
     weight = (pr.p * grading2.signature) @ pr.p
     heat0 = algebra_exp(-curvature(Superconnection(a.coeff.degree_part(1))))
     chi = supertrace(heat0)

@@ -33,6 +33,7 @@ __all__ = [
     "cocycle_from_dict",
     "stabilizer_from_dict",
     "open_set_from_dict",
+    "oracle_boxes_from_dict",
     "chain_from_dict",
     "save_scene",
     "load_scene",
@@ -251,6 +252,21 @@ def open_set_from_dict(payload: dict, chart: TorusChart):
     if kind == "complement":
         return OpenSet.complement_of_boxes(chart, boxes)
     raise SceneError(f"unknown open-set kind {kind!r}")
+
+
+@_decoder
+def oracle_boxes_from_dict(scene: dict) -> list:
+    """(center, radius) of each of a scene's ``oracle_boxes``: a point of T^2
+    and a radius in (0, 0.5], one for both axes or one per axis (0.5 already
+    spans the torus; a larger one would only lengthen the winding loop)."""
+    boxes = []
+    for b in scene.get("oracle_boxes", []):
+        center = np.asarray(b["center"], dtype=float).reshape(2)
+        radius = np.broadcast_to(np.asarray(b["radius"], dtype=float), (2,))
+        if not (np.isfinite(center).all() and ((radius > 0) & (radius <= 0.5)).all()):
+            raise ValueError(f"oracle box {b!r} needs a finite center and a radius in (0, 0.5]")
+        boxes.append((center.tolist(), radius))
+    return boxes
 
 
 @_decoder

@@ -3,9 +3,9 @@
 Each suite builds deterministic seeded scenes, evaluates a set of identity
 checks at pinned tolerances, and returns a Report whose payload is stable
 across runs (timings are excluded from the content hash).  Records are
-sorted by name.  ``run_many`` runs independent suites in parallel up to the
-SUPERCHERN_THREADS cap; ``verify all`` at seed 42 took a median 16.6 s with
-one thread and 13.4 s with two on a two-core host.
+sorted by name.  ``run_many`` runs independent suites in parallel, one
+thread per suite up to the number of CPUs the process may run on; the
+reports do not depend on the thread count.
 
 Every identity family has one scene builder in ``scenes`` and one residual
 function here.  The suites and the acceptance criteria both call them, each
@@ -797,18 +797,12 @@ def run_suite(cfg: SuiteConfig) -> Report:
     return report
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("SUPERCHERN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_many(configs) -> list:
-    """Run several suites, in parallel up to the SUPERCHERN_THREADS cap."""
-    cap = thread_cap()
-    if cap == 1 or len(configs) <= 1:
+    """Run several suites, one thread per suite up to the number of usable CPUs."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    threads = min(len(configs), cpus)
+    if threads <= 1:
         return [run_suite(c) for c in configs]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(run_suite, configs))

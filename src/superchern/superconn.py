@@ -39,6 +39,7 @@ __all__ = [
     "rescale",
     "rescale_derivative",
     "direct_sum",
+    "projected_connection",
     "product",
     "min_gap",
     "gauge",
@@ -266,6 +267,26 @@ def direct_sum(a: Superconnection, b: Superconnection) -> Superconnection:
             slope[ma:, ma:] = b.affine[axis]
         affine[axis] = slope
     return Superconnection(out, affine)
+
+
+def projected_connection(
+    p: np.ndarray, omega_axes: list, chart: TorusChart, grading: Grading
+) -> Superconnection:
+    """Superconnection d + [P w P + (1-P) w (1-P) + 2 P dP - dP] for a projector field P.
+
+    That is P (d + w) P + (1-P) (d + w) (1-P), d + w compressed to the image
+    and the kernel of P.  omega_axes holds w per axis, or None where it vanishes.
+    """
+    coeff = GradedMatrixForm.zeros(chart, grading)
+    dp = exterior_d(GradedMatrixForm.from_matrix_field(chart, grading, p))
+    for axis, w in enumerate(omega_axes):
+        dpa = dp.data[1 << axis]
+        blend = 2.0 * (p @ dpa) - dpa
+        if w is not None:
+            p_perp = np.eye(grading.rank) - p
+            blend = blend + p @ w @ p + p_perp @ w @ p_perp
+        coeff.data[1 << axis] = blend
+    return Superconnection(coeff)
 
 
 def product(a1: Superconnection, a2: Superconnection) -> Superconnection:

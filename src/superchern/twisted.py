@@ -28,6 +28,8 @@ from .forms import (
     GradedMatrixForm,
     Grading,
     TorusChart,
+    _derivative_multiplier,
+    _wedge_signs,
     algebra_exp,
     exterior_d,
     sup_norm,
@@ -352,34 +354,27 @@ def _dh_sparse_matrix(chart: TorusChart, h: GradedMatrixForm) -> sp.csr_matrix:
     nc = chart.n_components
     npts = n**dim if dim else 1
     size = nc * npts
-    freqs = np.fft.fftfreq(n, d=1.0 / n) if dim else np.zeros(1)
-    freqs = freqs.copy()
-    if dim:
-        freqs[n // 2] = 0.0
+    signs_table = _wedge_signs(dim)
 
     rows, cols, vals = [], [], []
     mode_shape = (n,) * dim if dim else (1,)
     mode_grid = np.stack(
         np.unravel_index(np.arange(npts), mode_shape), axis=-1
     )  # (npts, dim-or-1)
-    # d part: diagonal in the mode index
+    # d part: diagonal in the mode index, the multiplier of exterior_d
+    mult = _derivative_multiplier(n)
     for mask in range(nc):
         for axis in range(dim):
             bit = 1 << axis
             if mask & bit:
                 continue
-            sign = -1.0 if bin(mask & (bit - 1)).count("1") % 2 else 1.0
-            kvals = freqs[mode_grid[:, axis]]
-            nzsel = kvals != 0.0
-            idx = np.arange(npts)[nzsel]
+            kvals = mult[mode_grid[:, axis]]
+            idx = np.flatnonzero(kvals)
             rows.append((mask | bit) * npts + idx)
             cols.append(mask * npts + idx)
-            vals.append(sign * 2j * np.pi * kvals[nzsel])
+            vals.append(signs_table[bit, mask] * kvals[idx])
     # H-wedge part: convolution by the Fourier modes of each H component
     tolz = 1e-14
-    from .forms import _wedge_signs
-
-    signs_table = _wedge_signs(dim)
     all_idx = np.arange(npts)
     for hmask in range(nc):
         comp = h.data[hmask][..., 0, 0]

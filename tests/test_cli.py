@@ -322,15 +322,11 @@ class TestCLI:
         assert res.stdout == ""
         assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
 
-    @pytest.mark.parametrize(
-        "flag, value",
-        [("--alpha", "nan"), ("--alpha", "-3"), ("--alpha", "0"), ("--alpha", "inf"),
-         ("--c-frac", "0"), ("--c-frac", "-0.5"), ("--c-frac", "nan"), ("--c-frac", "inf")],
-    )
-    def test_bad_relative_flag_is_input_error(self, tmp_path, flag, value):
+    def _winding_index_cli(self, tmp_path, scene_extra, *flags):
+        """relative index on the N32 winding testbed, its zeros cut out."""
         a, _, _, zeros = winding_testbed(32)
         scene = tmp_path / "scene.json"
-        save_scene(scene, {"superconnection": superconnection_to_dict(a)})
+        save_scene(scene, {"superconnection": superconnection_to_dict(a), **scene_extra})
         sets = tmp_path / "sets.json"
         save_scene(
             sets,
@@ -340,9 +336,35 @@ class TestCLI:
                 "boxes": [{"center": list(z), "core": 0.10, "support": 0.26} for z in zeros],
             },
         )
-        res = run_cli(
-            "relative", "index", "--scene", str(scene), "--open-set", str(sets), flag, value
-        )
+        return run_cli("relative", "index", "--scene", str(scene), "--open-set", str(sets), *flags)
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--alpha", "nan"), ("--alpha", "-3"), ("--alpha", "0"), ("--alpha", "inf"),
+         ("--c-frac", "0"), ("--c-frac", "-0.5"), ("--c-frac", "nan"), ("--c-frac", "inf")],
+    )
+    def test_bad_relative_flag_is_input_error(self, tmp_path, flag, value):
+        res = self._winding_index_cli(tmp_path, {}, flag, value)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "boxes",
+        [
+            [{"center": [0.5, 0.5]}],
+            [{"center": [0.5, 0.5], "radius": "x"}],
+            5,
+            [{"center": [0.5, 0.5], "radius": float("nan")}],
+            [{"center": [0.5, 0.5], "radius": 0.0}],
+            [{"center": [0.5, 0.5], "radius": -0.2}],
+            [{"center": [0.5, 0.5], "radius": 1e8}],
+            [{"center": [0.5], "radius": 0.2}],
+            [{"center": [0.5, float("inf")], "radius": 0.2}],
+        ],
+    )
+    def test_bad_oracle_boxes_is_input_error(self, tmp_path, boxes):
+        res = self._winding_index_cli(tmp_path, {"oracle_boxes": boxes})
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1

@@ -253,6 +253,59 @@ class TestSuspension:
         # the measured suspension unit sits at -2i sqrt(pi) up to truncation
         assert abs(ratios[0] - (-2j * math.sqrt(math.pi))) < 1e-3
 
+    @pytest.mark.parametrize("base_n, grid_size", [(8, 16), (16, 8)])
+    def test_grid_other_than_the_base_grid_is_refused(self, base_n, grid_size):
+        ch = TorusChart(1, base_n)
+        c = OddCocycle(
+            dirac_twist_superconnection(ch, 1, modes=1),
+            GradedMatrixForm.zeros(ch, Grading.trivial(1)),
+        )
+        with pytest.raises(ChartMismatchError):
+            suspend(c, fiber_modes=1, grid_size=grid_size)
+
+    def test_default_grid_is_the_base_grid(self):
+        ch = TorusChart(1, 4)
+        c = OddCocycle(
+            dirac_twist_superconnection(ch, 1, modes=1),
+            GradedMatrixForm.zeros(ch, Grading.trivial(1)),
+        )
+        assert suspend(c, fiber_modes=1).chart == TorusChart(2, 4)
+
+    def test_sigma_placement_of_every_form_degree(self, rng):
+        # the reference places the blocks by hand: even form degrees and all
+        # slopes off the diagonal of the doubled fiber, odd degrees on it
+        ch = TorusChart(1, 8)
+        a = random_odd_superconnection(rng, ch, 2)
+        base_slope = np.array([[0.3, 0.1j], [-0.1j, -0.2]])
+        a = Superconnection(a.coeff, {0: base_slope})
+        s = suspend(OddCocycle(a, GradedMatrixForm.zeros(ch, Grading.trivial(1))), fiber_modes=1)
+        m, modes, nu = 2, 3, 8
+        big = modes * m
+
+        def emb(x):
+            return np.einsum("ij,...kl->...ikjl", np.eye(modes), x).reshape(
+                x.shape[:-2] + (big, big)
+            )
+
+        coeff = np.zeros((4, nu, nu, 2 * big, 2 * big), dtype=np.complex128)
+        coeff[0, ..., :big, big:] = coeff[0, ..., big:, :big] = emb(a.coeff.data[0])
+        coeff[2, ..., :big, :big] = coeff[2, ..., big:, big:] = emb(a.coeff.data[1])
+        fibre_n = np.repeat(np.arange(-1.0, 2.0), m)
+        u = np.arange(nu) / nu
+        dirac = np.zeros((nu, 1, big, big), dtype=np.complex128)
+        dirac[..., np.arange(big), np.arange(big)] = 1j * (fibre_n - u[:, None, None])
+        coeff[0, ..., :big, big:] += dirac
+        coeff[0, ..., big:, :big] += np.conj(np.swapaxes(dirac, -1, -2))
+        assert np.array_equal(s.A.coeff.data, coeff)
+
+        slopes = np.zeros((2, 2 * big, 2 * big), dtype=np.complex128)
+        slopes[0, :big, big:] = -1j * np.eye(big)
+        slopes[0, big:, :big] = 1j * np.eye(big)
+        slopes[1, :big, big:] = slopes[1, big:, :big] = np.kron(np.eye(modes), base_slope)
+        assert sorted(s.A.affine) == [0, 1]
+        assert np.array_equal(s.A.affine[0], slopes[0])
+        assert np.array_equal(s.A.affine[1], slopes[1])
+
     def test_dimension_guard(self, rng):
         a = random_odd_superconnection(rng, TorusChart(3, 8), 1)
         c = OddCocycle(a, GradedMatrixForm.zeros(TorusChart(3, 8), Grading.trivial(1)))

@@ -1,6 +1,7 @@
 """The verification suites: pinned check lists and per-check timing."""
 
 import dataclasses
+import os
 
 import pytest
 
@@ -120,7 +121,8 @@ def test_records_time_their_own_check(reports):
 
 
 def test_threads_leave_hashes_unchanged(reports, monkeypatch):
-    monkeypatch.setenv("SUPERCHERN_THREADS", "2")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     names = ("odd", "spectral-lemmas")
     threaded = run_many([SuiteConfig(name, seed=42, grid=8) for name in names])
     assert [r.content_hash() for r in threaded] == [reports[n].content_hash() for n in names]
