@@ -366,15 +366,20 @@ def _nonzero_components(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[0], -1).any(axis=1)
 
 
-def _wedge_data(x: np.ndarray, y: np.ndarray, table: np.ndarray) -> np.ndarray:
+def _wedge_data(
+    x: np.ndarray, y: np.ndarray, table: np.ndarray, y_live: np.ndarray | None = None
+) -> np.ndarray:
     """wedge_mul on component arrays of shape ``(2**dim, ..., m, m)``.
 
-    table is the grading's conj_table; zero components are skipped.
+    table is the grading's conj_table; zero components are skipped, and so
+    are the components of y that y_live (default: the nonzero ones) marks
+    False, which are then read as 0.
     """
     nc = x.shape[0]
     signs = _wedge_signs(nc.bit_length() - 1)
     x_live = _nonzero_components(x)
-    y_live = _nonzero_components(y)
+    if y_live is None:
+        y_live = _nonzero_components(y)
     out = np.zeros_like(x)
     for i in range(nc):
         if not x_live[i]:
@@ -607,21 +612,27 @@ def _left_regular_exp(x: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 def _nilpotent_exp(x: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """exp(x) = sum_{k <= dim} x^k / k! for x without a degree-0 part.
+    """exp(n) = sum_{k <= dim} n^k / k! for n, x without its degree-0 part.
 
-    Exact: a product of k such factors has form degree at least k.  numpy
-    divides a complex array by a real k as a multiplication by 1 / k, so
-    the cheaper in-place product below has the bits of the division.
+    Exact: a product of k such factors has form degree at least k.  The
+    one copy of x, with its degree-0 part zeroed, is n; the powers read x
+    with that part masked out, and the unit is added last, onto the exact
+    zero that every power leaves in degree 0.  numpy divides a complex
+    array by a real k as a multiplication by 1 / k, so the cheaper in-place
+    product below has the bits of the division.
     """
     dim = x.shape[0].bit_length() - 1
+    live = _nonzero_components(x)
+    live[0] = False
     out = x.copy()
-    diag = np.einsum("...rr->...r", out[0])
-    diag += 1.0
-    term = x
+    out[0] = 0.0
+    term = out
     for k in range(2, dim + 1):
-        term = _wedge_data(term, x, table)
+        term = _wedge_data(term, x, table, live)
         term *= 1.0 / k
         out += term
+    diag = np.einsum("...rr->...r", out[0])
+    diag += 1.0
     return out
 
 
@@ -718,10 +729,12 @@ def algebra_exp(a: GradedMatrixForm, strict_parity: bool = False) -> GradedMatri
     return GradedMatrixForm(a.chart, a.grading, data)
 
 
-def _exp_data(x: np.ndarray, mag: np.ndarray, sig: np.ndarray) -> np.ndarray:
+def _exp_data(x: np.ndarray, mag: np.ndarray, sig: np.ndarray, split: bool = True) -> np.ndarray:
     """algebra_exp on components x of shape ``(2**dim, ..., m, m)``.
 
     mag is |x| and sig the grading signature of the m fibre indices.
+    split=False skips the block split, for a stack of blocks that are each
+    one connected component already.
     """
     m = x.shape[-1]
     table = np.outer(sig, sig)
@@ -730,15 +743,14 @@ def _exp_data(x: np.ndarray, mag: np.ndarray, sig: np.ndarray) -> np.ndarray:
     spread = _colsum_max(np.abs(a0 - lam[..., None, None] * np.eye(m)))
     norm1 = _colsum_max(mag.sum(axis=0))
     if np.all(spread <= _UNIT_ROUNDOFF * norm1):
-        y = x.copy()
-        y[0] = 0.0
-        data = _nilpotent_exp(y, table)
+        data = _nilpotent_exp(x, table)
         if lam.any():
             data *= np.exp(lam)[..., None, None]
         return data
-    blocks = _fibre_blocks(mag)
-    if len(blocks) > 1:
-        return _exp_blocks(x, mag, sig, blocks)
+    if split:
+        blocks = _fibre_blocks(mag)
+        if len(blocks) > 1:
+            return _exp_blocks(x, mag, sig, blocks)
     return _left_regular_exp(x, table)
 
 
@@ -766,7 +778,7 @@ def _exp_blocks(x: np.ndarray, mag: np.ndarray, sig: np.ndarray, blocks: list) -
 
     A stack of G blocks of size b has shape ``(2**dim, ..., G, b, b)``: the
     block axis joins the grid axes, so each block gets its own central test
-    and Pade scaling.
+    and Pade scaling, and no block is split again.
     """
     groups = {}
     for idx in blocks:
@@ -775,7 +787,9 @@ def _exp_blocks(x: np.ndarray, mag: np.ndarray, sig: np.ndarray, blocks: list) -
     for members in groups.values():
         idx = np.stack(members)
         rows, cols = idx[:, :, None], idx[:, None, :]
-        out[..., rows, cols] = _exp_data(x[..., rows, cols], mag[..., rows, cols], sig[idx[0]])
+        out[..., rows, cols] = _exp_data(
+            x[..., rows, cols], mag[..., rows, cols], sig[idx[0]], split=False
+        )
     return out
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "curvature",
     "chern_character",
     "rescale",
-    "rescale_derivative",
     "direct_sum",
     "projected_connection",
     "product",
@@ -217,17 +216,6 @@ def rescale(a: Superconnection, t: float) -> Superconnection:
         out.data[mask] = a.coeff.data[mask] * t ** (1 - deg)
     affine = {axis: t * slope for axis, slope in a.affine.items()}
     return Superconnection(out, affine)
-
-
-def rescale_derivative(a: Superconnection, t: float) -> GradedMatrixForm:
-    """d/dt of the rescaled coefficient form: (1-i) t**(-i) per degree i."""
-    out = GradedMatrixForm.zeros(a.chart, a.grading)
-    for mask in range(a.chart.n_components):
-        deg = bin(mask).count("1")
-        if deg == 1:
-            continue
-        out.data[mask] = a.coeff.data[mask] * ((1 - deg) * t ** (-deg))
-    return out
 
 
 def affine_path(a0: Superconnection, a1: Superconnection):

@@ -10,10 +10,17 @@ eta_between and eta_infinity take the trace functional as a constant fibre
 weight W, tr(x) = Tr(W x) (gamma for the supertrace, the sigma-block selector
 for the odd variant), and an optional constant curving added to the
 curvature (the twisted variant), so all variants share one quadrature core.
+That core evaluates one exponential per node but contracts once per rule:
+the trace is linear in the heat and dA/dt is a fixed form (the linear path)
+or a t-weighted sum of the fixed degree parts of A (the rescaled family), so
+each rule sums its weighted heats, once per degree part of dA/dt, before
+taking the trace.  eta_along_path contracts at every node, since a user
+path's derivative is arbitrary.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,13 +28,7 @@ import numpy as np
 
 from .errors import NotInvertibleError
 from .forms import GradedMatrixForm, algebra_exp, exterior_d, trace_wedge, wedge_mul
-from .superconn import (
-    Superconnection,
-    affine_path,
-    curvature,
-    min_gap,
-    rescale_derivative,
-)
+from .superconn import Superconnection, affine_path, curvature, min_gap
 
 __all__ = [
     "QuadratureConfig",
@@ -93,11 +94,55 @@ def integrate_form(integrand, a: float, b: float, cfg: QuadratureConfig):
     return full, (full - coarse).sup_norm()
 
 
-def _node_heat(theta: np.ndarray, curving: GradedMatrixForm | None, like):
-    """exp(-(theta + curving)) for curvature components theta."""
+def _eta_quadrature(heat, w, x0, higher, a: float, b: float, cfg: QuadratureConfig):
+    """Gauss integral over [a, b] of Tr(w (dA/dt ^ H(t))) with an order-halving
+    error estimate, where dA/dt = x0 + sum_k f_k(t) x_k over (x_k, f_k) in
+    higher.  Returns (form, est_error).
+
+    heat(t) returns fresh components of H(t).  The trace is linear in the
+    heat, so each rule sums the weighted heats, one sum for x0 and one per
+    higher term, and contracts each sum once: each node scales its heat by
+    its weight in place and adds it to the rule's sums.
+    """
+    xs = [x0] + [x for x, _ in higher]
+    factors = [f for _, f in higher]
+
+    def rule(order):
+        ts, ws = _panel_nodes(a, b, cfg.panels, order)
+        sums = None
+        for t, wt in zip(ts, ws):
+            t = float(t)
+            h = heat(t)
+            h *= wt
+            terms = [h] + [h * f(t) for f in factors]
+            if sums is None:
+                sums = terms
+                continue
+            for acc, term in zip(sums, terms):
+                acc += term
+        total = None
+        for x, acc in zip(xs, sums):
+            val = trace_wedge(w, x, GradedMatrixForm(x.chart, x.grading, acc))
+            total = val if total is None else total + val
+        return total
+
+    full = rule(cfg.order)
+    coarse = rule(max(1, cfg.order // 2))
+    return full, (full - coarse).sup_norm()
+
+
+def _node_heat(theta: np.ndarray, curving: GradedMatrixForm | None, like) -> np.ndarray:
+    """Components of exp(-(theta + curving)) for fresh curvature components
+    theta, which are overwritten."""
     if curving is not None:
-        theta = theta + curving.data
-    return algebra_exp(GradedMatrixForm(like.chart, like.grading, -theta))
+        theta += curving.data
+    np.negative(theta, out=theta)
+    return algebra_exp(GradedMatrixForm(like.chart, like.grading, theta)).data
+
+
+def _rescale_slope(k, t):
+    """d/dt t^(1-k), the factor of the degree-k term of A in dA_t/dt."""
+    return (1 - k) * t ** (-k)
 
 
 def _gamma(a: Superconnection) -> np.ndarray:
@@ -127,11 +172,10 @@ def eta_between(
     f2 = wedge_mul(diff, diff).data
     w = _gamma(a0) if weight is None else weight
 
-    def integrand(t):
-        heat = _node_heat(f0 + t * (f1 + t * f2), curving, b0)
-        return trace_wedge(w, diff, heat)
+    def heat(t):
+        return _node_heat(f0 + t * (f1 + t * f2), curving, b0)
 
-    form, est = integrate_form(integrand, 0.0, 1.0, cfg)
+    form, est = _eta_quadrature(heat, w, diff, [], 0.0, 1.0, cfg)
     return EtaResult(form=form, est_error=est)
 
 
@@ -180,17 +224,24 @@ def eta_infinity(
     f = curvature(a).data
     w = _gamma(a) if weight is None else weight
 
-    def integrand(t):
-        heat = _node_heat(f * t ** (2.0 - degree), curving, a.coeff)
-        return trace_wedge(w, rescale_derivative(a, t), heat)
+    def heat(t):
+        return _node_heat(f * t ** (2.0 - degree), curving, a.coeff)
 
-    start = integrand(1.0)
+    # dA_t/dt = A_[0] + sum_{k >= 2} (1 - k) t^-k A_[k]; degree 1 drops out
+    higher = [
+        (a.coeff.degree_part(k), functools.partial(_rescale_slope, k))
+        for k in a.coeff.degrees_present()
+        if k >= 2
+    ]
+    at_one = GradedMatrixForm(a.chart, a.grading, a.coeff.data * _rescale_slope(degree, 1.0))
+    heat_one = GradedMatrixForm(a.chart, a.grading, heat(1.0))
+    start = trace_wedge(w, at_one, heat_one)
     big_c = max(start.sup_norm(), tol) * _TAIL_SAFETY
     if big_c <= tol:
         t_max = 1.0 + 1.0 / c
     else:
         t_max = math.sqrt(2.0 * math.log(big_c / tol)) / c
         t_max = max(t_max, 1.0 + 0.5 / c)
-    form, est = integrate_form(integrand, 1.0, t_max, cfg)
+    form, est = _eta_quadrature(heat, w, a.coeff.degree_part(0), higher, 1.0, t_max, cfg)
     tail = big_c * math.exp(-0.5 * (c * t_max) ** 2)
     return EtaResult(form=form, est_error=est + tail, truncation_T=t_max)

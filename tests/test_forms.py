@@ -314,6 +314,21 @@ def _sum_of_rank3(seed):
     return -curvature(direct_sum(a1, a2))
 
 
+def _stabilized(seed):
+    """Curvature of a (1|1) superconnection stabilized as dk.stabilize does:
+    plus a (1|1) bundle E (+) E with a connection, and a mass s coupling the
+    minus index to E's first copy; the second copy stays apart."""
+    rng = np.random.default_rng(seed)
+    chart = TorusChart(2, 8)
+    a = random_superconnection(rng, chart, G11, 0.5, 0.4, 1)
+    e = random_superconnection(rng, chart, G11, 0.0, 0.4, 1)
+    out = direct_sum(a, e)
+    s = band_limited_field(rng, chart, (), 1, 0.5)
+    out.coeff.data[0, ..., 1, 2] += s
+    out.coeff.data[0, ..., 2, 1] += np.conj(s)
+    return -curvature(out)
+
+
 # (scene, evaluations algebra_exp runs, in order); "left-regular" is the
 # reference itself, and "split" is followed by one evaluation per block group
 EXP_SCENES = {
@@ -369,6 +384,7 @@ EXP_SCENES = {
         "split central",
     ),
     "T2-direct-sum-rank3": (lambda: _sum_of_rank3(55), "split left-regular"),
+    "T2-stabilized-rank4": (lambda: _stabilized(5), "split left-regular central"),
 }
 
 # fibre blocks of the scenes that split; entries off them must stay exactly 0
@@ -383,6 +399,7 @@ SPLIT_BLOCKS = {
     "T1-blocks-gradings-differ": PAIRS,
     "T2-blocks-central-not-whole": CROSSED,
     "T2-direct-sum-rank3": [[0, 1, 2], [3, 4, 5]],
+    "T2-stabilized-rank4": [[0, 1, 2], [3]],
 }
 
 
@@ -426,6 +443,22 @@ class TestAlgebraExpDispatch:
         for idx in SPLIT_BLOCKS.get(scene, [range(a.rank)]):
             inside[np.ix_(idx, idx)] = True
         assert np.all(got[..., ~inside] == 0)
+
+    def test_blocks_are_found_once(self, monkeypatch, dispatch):
+        # each stacked block is one connected component: it goes to the
+        # central test and the Pade without a second search for blocks
+        found = []
+        original = forms._fibre_blocks
+
+        def spy(mag):
+            blocks = original(mag)
+            found.append([idx.tolist() for idx in blocks])
+            return blocks
+
+        monkeypatch.setattr(forms, "_fibre_blocks", spy)
+        algebra_exp(EXP_SCENES["T2-stabilized-rank4"][0](), strict_parity=True)
+        assert found == [SPLIT_BLOCKS["T2-stabilized-rank4"]]
+        assert dispatch == ["split", "left-regular", "central"]
 
     @pytest.mark.parametrize("scene", ["T2-rank4", "T2-rank6", "T2-rank4-F0-zero"])
     def test_parity_checked_before_dispatch(self, scene, dispatch):

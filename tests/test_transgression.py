@@ -1,21 +1,26 @@
 """Eta forms: transgression, additivity, homotopy invariance, infinity limit."""
 
+import math
+
 import numpy as np
 import pytest
 
 from superchern import transgression
 from superchern.errors import NotInvertibleError
 from superchern.forms import (
+    GradedMatrixForm,
     Grading,
     TorusChart,
     algebra_exp,
     exterior_d,
     harmonic_coefficients,
     sup_norm,
+    trace_wedge,
 )
-from superchern.oddk import sigma_lift
+from superchern.oddk import _sigma_weight, odd_eta_between, odd_eta_infinity, sigma_lift
 from superchern.scenes import (
     dirac_twist_superconnection,
+    gapped_odd_superconnection,
     gapped_superconnection,
     random_odd_superconnection,
     random_scalar_form,
@@ -34,10 +39,13 @@ from superchern.superconn import (
     affine_path,
     chern_character,
     curvature,
+    min_gap,
     rescale,
 )
 from superchern.transgression import (
+    _TAIL_SAFETY,
     QuadratureConfig,
+    _gamma,
     _panel_nodes,
     eta_between,
     eta_infinity,
@@ -133,15 +141,17 @@ class TestEtaInfinity:
         assert t_soft > t_sharp
 
 
-def _node_inputs(monkeypatch):
-    """Records every algebra_exp input of the eta quadrature."""
+def _first_args(monkeypatch, name="algebra_exp"):
+    """Records the first argument of every call transgression makes to name:
+    for algebra_exp, every node input of the eta quadrature."""
     seen = []
+    original = getattr(transgression, name)
 
-    def spy(a, *args, **kwargs):
-        seen.append(a)
-        return algebra_exp(a, *args, **kwargs)
+    def spy(first, *args, **kwargs):
+        seen.append(first)
+        return original(first, *args, **kwargs)
 
-    monkeypatch.setattr(transgression, "algebra_exp", spy)
+    monkeypatch.setattr(transgression, name, spy)
     return seen
 
 
@@ -154,6 +164,15 @@ def _assert_close(got, ref):
     assert sup_norm(got - ref) <= 1e-14 * max(sup_norm(ref), 1.0)
 
 
+def _sigma_affine_pair():
+    # a mode-shift family and a periodic perturbation of it, same slope
+    ch = TorusChart(1, 32)
+    a0 = dirac_twist_superconnection(ch, 1, modes=2, scale=2.0)
+    bump = random_odd_superconnection(np.random.default_rng(15), ch, a0.rank, 0.4, 0.3, 1)
+    a1 = Superconnection(a0.coeff + bump.coeff, a0.affine)
+    return sigma_lift(a0), sigma_lift(a1)
+
+
 def _twisted_pair(rng):
     kappa = random_scalar_form(rng, CH2, {2}, 0.8)
     return mk(11), mk(12), _curving(kappa, G11), kappa
@@ -164,24 +183,16 @@ class TestNodeCurvature:
 
     CFG = QuadratureConfig(panels=2, order=4)
 
-    def _sigma_affine_pair(self):
-        # a mode-shift family and a periodic perturbation of it, same slope
-        ch = TorusChart(1, 32)
-        a0 = dirac_twist_superconnection(ch, 1, modes=2, scale=2.0)
-        bump = random_odd_superconnection(np.random.default_rng(15), ch, a0.rank, 0.4, 0.3, 1)
-        a1 = Superconnection(a0.coeff + bump.coeff, a0.affine)
-        return sigma_lift(a0), sigma_lift(a1)
-
     @pytest.mark.parametrize("scene", ["random", "sigma-affine", "twisted"])
     def test_linear_path(self, monkeypatch, rng, scene):
         curving = kappa = None
         if scene == "random":
             a0, a1 = mk(13), mk(14)
         elif scene == "sigma-affine":
-            a0, a1 = self._sigma_affine_pair()
+            a0, a1 = _sigma_affine_pair()
         else:
             a0, a1, curving, kappa = _twisted_pair(rng)
-        seen = _node_inputs(monkeypatch)
+        seen = _first_args(monkeypatch)
         eta_between(a0, a1, self.CFG, curving=curving)
         path, _ = affine_path(a0, a1)
         ts = _nodes(0.0, 1.0, self.CFG)
@@ -195,11 +206,11 @@ class TestNodeCurvature:
         curving = kappa = None
         a = gapped_superconnection(rng, CH2, gap=1.0, wiggle=0.06, phase_amp=0.2, amp1=0.15)
         if scene == "sigma-affine":
-            a = self._sigma_affine_pair()[0]
+            a = _sigma_affine_pair()[0]
         elif scene == "twisted":
             kappa = random_scalar_form(rng, CH2, {2}, 0.8)
             curving = _curving(kappa, a.grading)
-        seen = _node_inputs(monkeypatch)
+        seen = _first_args(monkeypatch)
         res = eta_infinity(a, tol=1e-10, cfg=self.CFG, gap=1.0, curving=curving)
         ts = [1.0] + _nodes(1.0, res.truncation_T, self.CFG)
         assert len(seen) == len(ts)
@@ -207,3 +218,147 @@ class TestNodeCurvature:
             at = rescale(a, t)
             ref = curvature(at) if kappa is None else twisted_theta(at, kappa)
             _assert_close(-node, ref)
+
+
+# -- the per-rule contraction against a per-node one ----------------------------
+
+
+def _rescaled_derivative(a, t):
+    """d/dt of the rescaled coefficient form: (1 - i) t^-i on degree i."""
+    out = GradedMatrixForm.zeros(a.chart, a.grading)
+    for mask in range(a.chart.n_components):
+        deg = bin(mask).count("1")
+        if deg != 1:
+            out.data[mask] = a.coeff.data[mask] * ((1 - deg) * t ** (-deg))
+    return out
+
+
+def _per_node_quadrature(theta, deriv, w, lo, hi, cfg):
+    """Gauss rule and order-halving estimate of Tr(w (deriv(t) ^ exp(-theta(t)))),
+    contracting at every node."""
+
+    def rule(order):
+        ts, ws = _panel_nodes(lo, hi, cfg.panels, order)
+        total = None
+        for t, wt in zip(ts, ws):
+            t = float(t)
+            val = trace_wedge(w, deriv(t), algebra_exp(-theta(t))) * wt
+            total = val if total is None else total + val
+        return total
+
+    full, coarse = rule(cfg.order), rule(cfg.order // 2)
+    return full, (full - coarse).sup_norm()
+
+
+def _theta(kappa):
+    return curvature if kappa is None else (lambda a: twisted_theta(a, kappa))
+
+
+def _reference_between(a0, a1, cfg, w=None, kappa=None):
+    path, diff = affine_path(a0, a1)
+    theta = _theta(kappa)
+    w = _gamma(a0) if w is None else w
+    return _per_node_quadrature(lambda t: theta(path(t)), lambda t: diff, w, 0.0, 1.0, cfg)
+
+
+def _reference_infinity(a, tol, cfg, w=None, kappa=None):
+    theta = _theta(kappa)
+    w = _gamma(a) if w is None else w
+    c = min_gap(a)
+    start = trace_wedge(w, _rescaled_derivative(a, 1.0), algebra_exp(-theta(a)))
+    big_c = max(start.sup_norm(), tol) * _TAIL_SAFETY
+    t_max = max(math.sqrt(2.0 * math.log(big_c / tol)) / c, 1.0 + 0.5 / c)
+    form, est = _per_node_quadrature(
+        lambda t: theta(rescale(a, t)), lambda t: _rescaled_derivative(a, t), w, 1.0, t_max, cfg
+    )
+    return form, est + big_c * math.exp(-0.5 * (c * t_max) ** 2), t_max
+
+
+def _assert_matches(res, form, est):
+    scale = sup_norm(form)
+    assert scale > 1e-6
+    assert sup_norm(res.form - form) <= 1e-13 * scale
+    assert abs(res.est_error - est) <= 1e-13 * scale
+    assert est > 1e-8 * scale  # far above round-off, so the estimates are compared
+
+
+class TestContractionPerRule:
+    """eta_between and eta_infinity sum the weighted heats of each rule before
+    the trace; a contraction at every node gives the same forms and estimates."""
+
+    CFG = QuadratureConfig(panels=2, order=4)
+
+    @pytest.mark.parametrize("scene", ["random", "sigma-affine", "twisted"])
+    def test_linear_path(self, rng, scene):
+        curving = kappa = w = None
+        if scene == "random":
+            a0, a1 = mk(13), mk(14)
+        elif scene == "sigma-affine":
+            # Str vanishes on sigma lifts; the odd variant's weight does not
+            a0, a1 = _sigma_affine_pair()
+            w = _sigma_weight(a0.rank)
+        else:
+            a0, a1, curving, kappa = _twisted_pair(rng)
+        res = eta_between(a0, a1, self.CFG, weight=w, curving=curving)
+        _assert_matches(res, *_reference_between(a0, a1, self.CFG, w=w, kappa=kappa))
+
+    @pytest.mark.parametrize("scene", ["gapped", "with-higher", "twisted"])
+    def test_rescaled_family(self, rng, scene):
+        # on T^2 the total-odd degree-2 term is gamma-odd and meets only the
+        # gamma-even degree-0 heat, so its supertrace vanishes; T^3 sees it
+        higher = scene == "with-higher"
+        a = gapped_superconnection(
+            rng, TorusChart(3, 8) if higher else CH2, gap=1.0, wiggle=0.06,
+            phase_amp=0.2, amp1=0.15, with_higher=higher,
+        )
+        assert (2 in a.coeff.degrees_present()) == higher
+        curving = kappa = None
+        if scene == "twisted":
+            kappa = random_scalar_form(rng, CH2, {2}, 0.8)
+            curving = _curving(kappa, a.grading)
+        res = eta_infinity(a, tol=1e-10, cfg=self.CFG, curving=curving)
+        form, est, t_max = _reference_infinity(a, 1e-10, self.CFG, kappa=kappa)
+        assert abs(res.truncation_T - t_max) <= 1e-13 * t_max
+        _assert_matches(res, form, est)
+
+    def test_odd_linear_path(self, rng):
+        ch = TorusChart(1, 32)
+        a0, a1 = (random_odd_superconnection(rng, ch, 2, 0.4, 0.3, 1) for _ in range(2))
+        lifted0, lifted1 = sigma_lift(a0), sigma_lift(a1)
+        w = _sigma_weight(lifted0.rank)
+        ref = _reference_between(lifted0, lifted1, self.CFG, w=w)
+        _assert_matches(odd_eta_between(a0, a1, self.CFG), *ref)
+
+    def test_odd_rescaled_family(self, rng):
+        a = gapped_odd_superconnection(rng, TorusChart(1, 32), 2.2)
+        lifted = sigma_lift(a)
+        form, est, _ = _reference_infinity(lifted, 1e-10, self.CFG, w=_sigma_weight(lifted.rank))
+        _assert_matches(odd_eta_infinity(a, tol=1e-10, cfg=self.CFG), form, est)
+
+
+class TestContractionCount:
+    """One exponential per node, one trace per rule and per degree part of dA/dt."""
+
+    CH = TorusChart(2, 8)
+
+    def _counts(self, monkeypatch, run):
+        exps = _first_args(monkeypatch)
+        traces = _first_args(monkeypatch, "trace_wedge")
+        run()
+        return len(exps), len(traces)
+
+    def test_linear_path(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        a0, a1 = (random_superconnection(rng, self.CH, G11, 0.22, 0.16, 1) for _ in range(2))
+        assert self._counts(monkeypatch, lambda: eta_between(a0, a1)) == (192, 2)
+        coarse = QuadratureConfig(panels=4, order=2)
+        assert self._counts(monkeypatch, lambda: eta_between(a0, a1, coarse)) == (12, 2)
+
+    @pytest.mark.parametrize("with_higher, parts", [(False, 1), (True, 2)])
+    def test_rescaled_family(self, monkeypatch, with_higher, parts):
+        a = gapped_superconnection(
+            np.random.default_rng(1), self.CH, gap=1.0, wiggle=0.06, phase_amp=0.2,
+            amp1=0.15, with_higher=with_higher,
+        )
+        counts = self._counts(monkeypatch, lambda: eta_infinity(a, tol=1e-10))
+        assert counts == (193, 1 + 2 * parts)
