@@ -7,9 +7,10 @@
 ``run`` executes the benchmark's six suites and ``dk-relations`` (the only
 suite that reaches ``dk.kernel_reduce``) at their default grids through
 ``run_suite``, one seed after another, and writes every record's residual
-and outcome.  ``compare`` prints every record whose residual changed and
-exits 1 if a (seed, check) pair passes on the first tree and fails on the
-second, or if a record name appears or disappears.
+and outcome.  ``compare`` prints every record whose residual changed, ends with one line
+counting the runs compared, the residuals and content hashes that changed and
+the problems, and exits 1 if a (seed, check) pair passes on the first tree and
+fails on the second, or if a record name appears or disappears.
 """
 
 from __future__ import annotations
@@ -53,13 +54,16 @@ def run(seeds) -> dict:
     return out
 
 
-def compare(base: dict, head: dict) -> list:
-    """Printable changes, and the problems among them."""
+def compare(base: dict, head: dict):
+    """Print every changed residual; return the problems and the numbers of
+    changed residuals and changed content hashes."""
     problems = []
+    residuals = hashes = 0
     for key in sorted(base.keys() | head.keys()):
         if key not in base or key not in head:
             problems.append(f"{key}: run on one side only")
             continue
+        hashes += base[key]["hash"] != head[key]["hash"]
         old, new = base[key]["records"], head[key]["records"]
         for name in sorted(old.keys() ^ new.keys()):
             side = "head" if name in new else "base"
@@ -67,10 +71,11 @@ def compare(base: dict, head: dict) -> list:
         for name in sorted(old.keys() & new.keys()):
             (r0, p0), (r1, p1) = old[name], new[name]
             if r0 != r1:
+                residuals += 1
                 print(f"{key} {name}: residual {r0!r} -> {r1!r}")
             if p0 and not p1:
                 problems.append(f"{key} {name}: passes at the base, fails at the head")
-    return problems
+    return problems, residuals, hashes
 
 
 def main(argv=None) -> int:
@@ -89,10 +94,13 @@ def main(argv=None) -> int:
         return 0
     with open(args.base) as fh_base, open(args.head) as fh_head:
         base, head = json.load(fh_base), json.load(fh_head)
-    problems = compare(base, head)
+    problems, residuals, hashes = compare(base, head)
     for problem in problems:
         print(f"FAIL {problem}")
-    print(f"{len(base)} (suite, seed) runs compared, {len(problems)} problems")
+    print(
+        f"{len(base)} (suite, seed) runs compared, {residuals} residuals changed, "
+        f"{hashes} content hashes changed, {len(problems)} problems"
+    )
     return 1 if problems else 0
 
 

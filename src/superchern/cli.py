@@ -6,11 +6,14 @@ Subcommands::
     superchern dk apply-chain --cocycle scene.json --chain chain.json [--out F]
     superchern relative index --scene scene.json --open-set sets.json [--out F]
     superchern spectral table [--cutoffs 8,16,32,64] [--out F]
-    superchern twisted verify [--seed S] [--out F]
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 input error.
 Reports are JSON (schema 1) with a content hash over the timing-free payload;
 CSV output is available for norm/convergence tables.
+
+``dk apply-chain`` keeps the cocycle's flavor.  An odd cocycle accepts only
+the add, collapse and shift steps; any other step on it, and a chart, rank,
+grading or flavor that does not fit, is an input error.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .errors import SceneError, SuperchernError
+from .errors import ChartMismatchError, SceneError, SuperchernError
 from .serialize import (
     chain_from_dict,
     cocycle_from_dict,
@@ -189,7 +192,7 @@ def _cmd_dk_chain(args) -> int:
     except KeyError as exc:
         print(f"error: chain step {len(trail) + 1} ({op}) lacks key {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except SceneError as exc:
+    except (SceneError, ChartMismatchError) as exc:
         print(f"error: chain step {len(trail) + 1} ({op}): {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SuperchernError as exc:
@@ -358,15 +361,6 @@ def main(argv=None) -> int:
     p_table.add_argument("--twist", type=float, default=0.5)
     p_table.add_argument("--out", default=None)
 
-    p_tw = sub.add_parser("twisted", help="gerbe and twisted-calculus checks")
-    tw_sub = p_tw.add_subparsers(dest="tw_command", required=True)
-    p_twv = tw_sub.add_parser("verify", help="run the twisted suite")
-    p_twv.add_argument("--grid", type=int, default=None)
-    p_twv.add_argument("--tol", type=float, default=1.0)
-    p_twv.add_argument("--seed", type=int, default=42)
-    p_twv.add_argument("--out", default=None)
-    p_twv.add_argument("--format", choices=("json", "csv"), default="json")
-
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
@@ -377,10 +371,6 @@ def main(argv=None) -> int:
             return _cmd_relative_index(args)
         if args.command == "spectral":
             return _cmd_spectral_table(args)
-        if args.command == "twisted":
-            args.suite = "twisted"
-            args.format = getattr(args, "format", "json")
-            return _cmd_verify(args)
     except (SceneError, _InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,14 +1,19 @@
-"""Even differential K-cocycles and their relation calculus.
+"""Differential K-cocycles of both parities and their relation calculus.
 
-A cocycle is a triple (bundle-with-superconnection, odd scalar form); the
-relations are direct sum, collapse of an invertible degree-0 term against
-eta(A, infinity), shift of the superconnection against eta(A0, A1),
-stabilization by a finite auxiliary bundle, and reduction to the kernel
-bundle of the degree-0 term.  Every relation preserves the curvature class
-Ch(A) + d omega, which is the numerically decidable shadow of class
-equality: full equality of classes is not decidable from grid data, so the
-certified statement is always curvature-class agreement plus the explicit
-relation chain that produced it.
+A cocycle is a triple (bundle-with-superconnection, scalar form) of one of
+two flavors.  An even cocycle (a class of K^0) has a graded bundle and an
+odd-degree form; an odd cocycle (a class of K^1) has an ungraded bundle and
+an even-degree form, and its calculus is the even one run on the sigma-lift
+of the bundle with the sigma-trace (see oddk).  The relations are direct
+sum, collapse of an invertible degree-0 term against eta(A, infinity) and
+shift of the superconnection against eta(A0, A1), for both flavors; and,
+for even cocycles only, stabilization by a finite auxiliary bundle,
+reduction to the kernel bundle of the degree-0 term, the composed normal
+form and the product.  Every relation preserves the curvature class
+Ch(A) + d omega (the odd Chern form for odd cocycles), which is the
+numerically decidable shadow of class equality: full equality of classes is
+not decidable from grid data, so the certified statement is always
+curvature-class agreement plus the explicit relation chain that produced it.
 """
 
 from __future__ import annotations
@@ -57,13 +62,18 @@ _MISALIGN_TOL = 0.5
 
 @dataclass
 class DKCocycle:
-    """Triple (bundle-with-superconnection, odd form); even flavor."""
+    """Triple (bundle-with-superconnection, scalar form) of flavor "even" or
+    "odd"; an odd cocycle must have an ungraded bundle."""
 
     A: Superconnection
     omega: GradedMatrixForm
     flavor: str = "even"
 
     def __post_init__(self):
+        if self.flavor not in ("even", "odd"):
+            raise ValueError(f"cocycle flavor must be 'even' or 'odd', got {self.flavor!r}")
+        if self.flavor == "odd" and self.A.grading.minus_indices.size:
+            raise ChartMismatchError("an odd cocycle needs an ungraded (all +1) bundle")
         if self.omega.rank != 1:
             raise ChartMismatchError("omega must be a scalar (rank-1) form")
         if self.omega.chart != self.A.chart:
@@ -93,24 +103,45 @@ class DKCocycle:
         return self.A.rank
 
 
+# The odd branches import oddk when they run (oddk imports this module) and
+# look each function up on the module, so a rebound attribute is what runs.
+
+
+def _require_even(op: str, *cocycles: DKCocycle):
+    if any(c.flavor != "even" for c in cocycles):
+        raise ChartMismatchError(f"{op} is defined for even cocycles only")
+
+
 def curvature_class(c: DKCocycle) -> GradedMatrixForm:
-    """Ch(A) + d omega; closed, and invariant under every relation."""
+    """Ch(A) + d omega (odd_chern for the odd flavor); closed, and invariant
+    under every relation."""
+    if c.flavor == "odd":
+        from . import oddk
+
+        return oddk.odd_chern(c.A) + exterior_d(c.omega)
     return chern_character(c.A) + exterior_d(c.omega)
 
 
 def cocycle_add(c1: DKCocycle, c2: DKCocycle) -> DKCocycle:
     if c1.chart != c2.chart:
         raise ChartMismatchError("cocycle_add requires a common chart")
-    return DKCocycle(direct_sum(c1.A, c2.A), c1.omega + c2.omega)
+    if c1.flavor != c2.flavor:
+        raise ChartMismatchError(f"cannot add an {c1.flavor} and an {c2.flavor} cocycle")
+    return DKCocycle(direct_sum(c1.A, c2.A), c1.omega + c2.omega, c1.flavor)
 
 
 def collapse_invertible(
     c: DKCocycle, tol: float = 1e-10, cfg: QuadratureConfig | None = None
 ) -> DKCocycle:
     """Replace an invertible cocycle by the rank-0 one carrying omega + eta(A, inf)."""
-    eta = eta_infinity(c.A, tol=tol, cfg=cfg)
+    if c.flavor == "odd":
+        from . import oddk
+
+        eta = oddk.odd_eta_infinity(c.A, tol=tol, cfg=cfg)
+    else:
+        eta = eta_infinity(c.A, tol=tol, cfg=cfg)
     zero = Superconnection.trivial(c.chart, Grading(np.zeros(0)))
-    return DKCocycle(zero, c.omega + eta.form)
+    return DKCocycle(zero, c.omega + eta.form, c.flavor)
 
 
 def shift_superconnection(
@@ -118,8 +149,13 @@ def shift_superconnection(
 ) -> DKCocycle:
     """Move to another superconnection on the same bundle, absorbing the eta form."""
     c.A._check_compat(a1)
-    eta = eta_between(c.A, a1, cfg)
-    return DKCocycle(a1, c.omega + eta.form)
+    if c.flavor == "odd":
+        from . import oddk
+
+        eta = oddk.odd_eta_between(c.A, a1, cfg)
+    else:
+        eta = eta_between(c.A, a1, cfg)
+    return DKCocycle(a1, c.omega + eta.form, c.flavor)
 
 
 @dataclass
@@ -161,6 +197,7 @@ def stabilize(
     the two.  The degree-0 term of the result has vector-bundle kernel
     whenever A_[0]^+ + s is pointwise surjective, which is checked.
     """
+    _require_even("stabilize", c)
     a = c.A
     margin = st.surjectivity_margin(a)
     if margin <= _SURJ_TOL:
@@ -349,6 +386,7 @@ def kernel_reduce(
     bundle, expressed in a smooth global frame, whose connection is
     Q A_[1] Q and whose form is omega + eta(A, B) + eta((I-Q) A (I-Q), inf).
     """
+    _require_even("kernel_reduce", c)
     a = c.A
     chart = a.chart
     m = a.rank
@@ -397,6 +435,7 @@ def normalize_q(
 
 def product_cocycle(c1: DKCocycle, c2: DKCocycle) -> DKCocycle:
     """Tensor product with omega = Ch(A1) ^ w2 + w1 ^ Ch(A2) + w1 ^ d w2."""
+    _require_even("product_cocycle", c1, c2)
     if c1.chart != c2.chart:
         raise ChartMismatchError("product requires a common chart")
     a = sc_product(c1.A, c2.A)

@@ -82,6 +82,13 @@ class TorusChart:
         shape[axis] = self.grid_size
         return x.reshape(shape)
 
+    def fourier_phase(self, k) -> np.ndarray:
+        """exp(2 pi i k.x) on the grid for the mode k (one integer per axis)."""
+        phase = np.zeros(self.shape)
+        for a, ka in enumerate(k):
+            phase = phase + ka * self.coordinate(a)
+        return np.exp(2j * np.pi * phase)
+
 
 class Grading:
     """Diagonal Z2-grading of a rank-m coefficient bundle (signature of gamma)."""

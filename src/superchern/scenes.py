@@ -63,12 +63,8 @@ _PHASE_CACHE_BYTES = 1 << 24
 
 def _mode_phases(chart: TorusChart, max_mode: int):
     """exp(2 pi i k.x) on the grid, per mode |k_a| <= max_mode in product order."""
-    coords = [chart.coordinate(a) for a in range(chart.dim)]
     for k in itertools.product(range(-max_mode, max_mode + 1), repeat=chart.dim):
-        phase = np.zeros(chart.shape)
-        for a, ka in enumerate(k):
-            phase = phase + ka * coords[a]
-        yield np.exp(2j * np.pi * phase)
+        yield chart.fourier_phase(k)
 
 
 @functools.lru_cache(maxsize=8)

@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from .errors import SceneError
+from .errors import ChartMismatchError, SceneError
 from .forms import GradedMatrixForm, Grading, TorusChart
 from .superconn import Superconnection
 
@@ -41,13 +41,16 @@ __all__ = [
 
 
 def _decoder(fn):
-    """Report the errors a malformed payload raises inside ``fn`` as SceneError."""
+    """Report the errors a malformed payload raises inside ``fn`` as SceneError,
+    including a constructor's ChartMismatchError (parts that do not fit)."""
 
     @functools.wraps(fn)
     def decode(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        except (
+            AttributeError, IndexError, KeyError, TypeError, ValueError, ChartMismatchError
+        ) as exc:
             detail = " ".join(str(exc).split())
             raise SceneError(
                 f"malformed payload ({fn.__name__}): {type(exc).__name__}: {detail}"
@@ -90,17 +93,12 @@ def decode_array(payload: dict, chart: TorusChart | None = None) -> np.ndarray:
             raise SceneError("fourier-encoded fields need the chart for expansion")
         trailing = tuple(payload["shape"])
         out = np.zeros(chart.shape + trailing, dtype=np.complex128)
-        coords = [chart.coordinate(a) for a in range(chart.dim)]
         for mode in payload["modes"]:
-            k = mode["k"]
             coeff = (
                 np.asarray(mode["re"], dtype=np.float64)
                 + 1j * np.asarray(mode["im"], dtype=np.float64)
             ).reshape(trailing)
-            phase = np.zeros(chart.shape)
-            for a, ka in enumerate(k):
-                phase = phase + ka * coords[a]
-            wave = np.exp(2j * np.pi * phase)
+            wave = chart.fourier_phase(mode["k"])
             out += wave[(...,) + (None,) * len(trailing)] * coeff
         return out
     raise SceneError(f"unknown array encoding {enc!r}")
@@ -202,18 +200,12 @@ def cocycle_to_dict(c, encoding: str = "b64") -> dict:
 @_decoder
 def cocycle_from_dict(payload: dict):
     from .dk import DKCocycle
-    from .oddk import OddCocycle
 
     if payload.get("type") != "cocycle":
         raise SceneError("payload is not a cocycle scene")
     a = superconnection_from_dict(payload["superconnection"])
     omega = form_from_dict(payload["omega"])
-    flavor = payload.get("flavor", "even")
-    if flavor == "even":
-        return DKCocycle(a, omega)
-    if flavor == "odd":
-        return OddCocycle(a, omega)
-    raise SceneError(f"unknown cocycle flavor {flavor!r}")
+    return DKCocycle(a, omega, payload.get("flavor", "even"))
 
 
 def save_scene(path, payload: dict):

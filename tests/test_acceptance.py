@@ -13,6 +13,7 @@ import numpy as np
 from superchern.dk import (
     DKCocycle,
     collapse_invertible,
+    curvature_class,
     kernel_reduce,
     normalize_q,
     product_cocycle,
@@ -26,12 +27,7 @@ from superchern.forms import (
     exterior_d,
     sup_norm,
 )
-from superchern.oddk import (
-    OddCocycle,
-    odd_collapse_invertible,
-    odd_curvature_class,
-    odd_eta_between,
-)
+from superchern.oddk import odd_eta_between
 from superchern.scenes import (
     band_limited_field,
     closedness_scene,
@@ -319,9 +315,9 @@ def test_criterion_08_odd_theory():
 
     rng = np.random.default_rng(SEED + 150)
     shifted = gapped_odd_superconnection(rng, ch1, 2.5)
-    c = OddCocycle(shifted, random_scalar_form(rng, ch1, {0}, 0.3, 1))
-    collapsed = odd_collapse_invertible(c, tol=1e-10)
-    collapse_gap = sup_norm(odd_curvature_class(collapsed) - odd_curvature_class(c))
+    c = DKCocycle(shifted, random_scalar_form(rng, ch1, {0}, 0.3, 1), "odd")
+    collapsed = collapse_invertible(c, tol=1e-10)
+    collapse_gap = sup_norm(curvature_class(collapsed) - curvature_class(c))
 
     val, target = odd_point_value()
     point_gap = abs(val - target)

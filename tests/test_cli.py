@@ -9,7 +9,14 @@ import pytest
 
 from superchern.dk import DKCocycle, curvature_class
 from superchern.forms import Grading, TorusChart, sup_norm
-from superchern.scenes import random_omega, random_superconnection, winding_testbed
+from superchern.scenes import (
+    gapped_odd_superconnection,
+    gapped_superconnection,
+    random_omega,
+    random_scalar_form,
+    random_superconnection,
+    winding_testbed,
+)
 from superchern.serialize import (
     cocycle_from_dict,
     cocycle_to_dict,
@@ -28,6 +35,20 @@ CH2 = TorusChart(2, 16)
 G11 = Grading.balanced(1, 1)
 BAD_TERM0 = {"enc": "lists", "shape": [3], "re": [1], "im": [0]}
 BAD_S = {"enc": "b64", "shape": [2], "data": "AAAA"}
+GRID8_OMEGA = form_to_dict(random_omega(np.random.default_rng(0), TorusChart(1, 8)))
+
+
+def _odd_payload():
+    """An odd cocycle on CH1 with an ungraded rank-2 bundle."""
+    rng = np.random.default_rng(5)
+    a = gapped_odd_superconnection(rng, CH1, 2.5)
+    return cocycle_to_dict(DKCocycle(a, random_scalar_form(rng, CH1, {0}, 0.3, 1), "odd"))
+
+
+def _odd_scene(tmp_path):
+    path = tmp_path / "odd.json"
+    save_scene(path, _odd_payload())
+    return str(path)
 
 
 def run_cli(*args):
@@ -115,7 +136,7 @@ class TestCLI:
         res = run_cli("verify", "no-such-suite")
         assert res.returncode == 2
 
-    @pytest.mark.parametrize("command", [("verify", "chern-identities"), ("twisted", "verify")])
+    @pytest.mark.parametrize("command", [("verify", "chern-identities")])
     @pytest.mark.parametrize(
         "flag, value",
         [("--grid", "3"), ("--grid", "12"), ("--tol", "-1"), ("--seed", "-5")],
@@ -187,14 +208,21 @@ class TestCLI:
         assert res.returncode == 2
         assert res.stderr.startswith("error:") and len(res.stderr.splitlines()) == 1
 
-    def test_dk_apply_chain(self, tmp_path, rng):
-        from superchern.scenes import gapped_superconnection
-        from superchern.serialize import encode_array
-
-        c = DKCocycle(
-            gapped_superconnection(rng, CH1, gap=1.0, wiggle=0.1, phase_amp=0.3, amp1=0.3),
-            random_omega(rng, CH1, 0.4, 1),
-        )
+    @pytest.mark.parametrize("flavor", ["even", "odd"])
+    def test_dk_apply_chain(self, tmp_path, rng, flavor):
+        # collapse, then add the input again: the class doubles, the flavor stays
+        if flavor == "even":
+            c = DKCocycle(
+                gapped_superconnection(rng, CH1, gap=1.0, wiggle=0.1, phase_amp=0.3, amp1=0.3),
+                random_omega(rng, CH1, 0.4, 1),
+            )
+        else:
+            ch = TorusChart(2, 32)
+            c = DKCocycle(
+                gapped_odd_superconnection(rng, ch, 2.5),
+                random_scalar_form(rng, ch, {0}, 0.3, 1),
+                "odd",
+            )
         scene = tmp_path / "c.json"
         save_scene(scene, cocycle_to_dict(c))
         chain = tmp_path / "chain.json"
@@ -202,7 +230,7 @@ class TestCLI:
             chain,
             {
                 "type": "relation_chain",
-                "ops": [{"op": "collapse", "tol": 1e-10}],
+                "ops": [{"op": "collapse", "tol": 1e-10}, {"op": "add", "with": str(scene)}],
             },
         )
         out = tmp_path / "out.json"
@@ -217,13 +245,24 @@ class TestCLI:
             str(out),
         )
         assert res.returncode == 0, res.stderr
-        result = cocycle_from_dict(load_scene(out))
-        assert result.rank == 0
-        assert (
-            sup_norm(curvature_class(result) - curvature_class(c)) < 1e-8
-        )
+        assert res.stderr == ""
+        payload = load_scene(out)
+        assert payload["flavor"] == flavor
+        assert [step["rank"] for step in payload["chain_trail"]] == [0, c.rank]
+        result = cocycle_from_dict(payload)
+        assert result.flavor == flavor
+        # omega keeps its parity: odd degrees for even cocycles, even for odd
+        wrong_parity = [
+            mask
+            for mask in range(result.chart.n_components)
+            if bin(mask).count("1") % 2 == (0 if flavor == "even" else 1)
+        ]
+        assert not result.omega.data[wrong_parity].any()
+        assert sup_norm(curvature_class(result) - 2.0 * curvature_class(c)) < 1e-8
 
     def _chain_cli(self, tmp_path, rng, steps, patch=None):
+        """apply-chain on an even (1|1) scene on CH1; a callable ``steps``
+        receives tmp_path and returns the steps."""
         c = DKCocycle(
             random_superconnection(rng, CH1, G11, amp0=0.3, amp1=0.2, max_mode=1),
             random_omega(rng, CH1, 0.4, 1),
@@ -232,6 +271,8 @@ class TestCLI:
         scene = tmp_path / "c.json"
         save_scene(scene, patch(payload) if patch else payload)
         chain = tmp_path / "chain.json"
+        if callable(steps):
+            steps = steps(tmp_path)
         save_scene(chain, {"type": "relation_chain", "ops": steps})
         return run_cli("dk", "apply-chain", "--cocycle", str(scene), "--chain", str(chain))
 
@@ -301,8 +342,16 @@ class TestCLI:
             (None, [1]),
             (None, [{"op": "collapse", "tol": "abc"}]),
             (None, [{"op": "stabilize", "stabilizer": {"e_rank": 1, "s": BAD_S}}]),
+            (lambda c: {**c, "flavor": "odd"}, [{"op": "collapse"}]),
+            (lambda c: {**c, "flavor": "twisted"}, [{"op": "collapse"}]),
+            (lambda c: {**c, "omega": GRID8_OMEGA}, [{"op": "collapse"}]),
+            (None, lambda tmp: [{"op": "add", "with": _odd_scene(tmp)}]),
+            (lambda c: _odd_payload(), [{"op": "kernel-reduce"}]),
+            (lambda c: _odd_payload(), lambda tmp: [{"op": "product", "with": _odd_scene(tmp)}]),
         ],
-        ids=["no-superconnection", "term0-shape", "ops-text", "ops-number", "tol-text", "s-buffer"],
+        ids=["no-superconnection", "term0-shape", "ops-text", "ops-number", "tol-text", "s-buffer",
+             "odd-graded", "flavor-unknown", "omega-grid8", "add-across-flavors",
+             "kernel-reduce-odd", "product-odd"],
     )
     def test_malformed_chain_input_is_input_error(self, tmp_path, rng, patch, steps):
         res = self._chain_cli(tmp_path, rng, steps, patch)

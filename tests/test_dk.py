@@ -31,8 +31,10 @@ from superchern.forms import (
     sup_norm,
 )
 from superchern.scenes import (
+    gapped_odd_superconnection,
     gapped_superconnection,
     random_omega,
+    random_scalar_form,
     random_stabilizer,
     random_superconnection,
 )
@@ -53,6 +55,54 @@ def even_cocycle(seed, chart=CH1, gapped=False, **kw):
     else:
         a = random_superconnection(rng, chart, G11, 0.5, 0.4, 1)
     return DKCocycle(a, random_omega(rng, chart, 0.4, 1))
+
+
+def odd_cocycle(seed, chart=CH1):
+    rng = np.random.default_rng(seed)
+    a = gapped_odd_superconnection(rng, chart, 2.5)
+    return DKCocycle(a, random_scalar_form(rng, chart, {0}, 0.3, 1), "odd")
+
+
+class TestFlavor:
+    def test_unknown_flavor(self):
+        c = even_cocycle(0)
+        with pytest.raises(ValueError, match="flavor"):
+            DKCocycle(c.A, c.omega, "twisted")
+
+    def test_odd_flavor_needs_an_ungraded_bundle(self):
+        c = even_cocycle(0)
+        with pytest.raises(ChartMismatchError, match="ungraded"):
+            DKCocycle(c.A, GradedMatrixForm.zeros(CH1, Grading.trivial(1)), "odd")
+
+    def test_flavors_do_not_mix(self):
+        # the even unit is ungraded, so only the flavor tells the two apart
+        odd, even = odd_cocycle(0), DKCocycle.unit(CH1)
+        for c1, c2 in ((odd, even), (even, odd)):
+            with pytest.raises(ChartMismatchError, match="cannot add"):
+                cocycle_add(c1, c2)
+
+    @pytest.mark.parametrize(
+        "relation",
+        [
+            lambda c, st: stabilize(c, st),
+            lambda c, st: kernel_reduce(c),
+            lambda c, st: normalize_q(c, st),
+            lambda c, st: product_cocycle(c, c),
+            lambda c, st: product_cocycle(DKCocycle.unit(CH1), c),
+        ],
+        ids=["stabilize", "kernel_reduce", "normalize_q", "product", "product-even-odd"],
+    )
+    def test_even_only_relations_refuse_odd_input(self, rng, relation):
+        with pytest.raises(ChartMismatchError, match="even cocycles only"):
+            relation(odd_cocycle(1), random_stabilizer(rng, CH1, 0.5))
+
+    def test_relations_keep_the_flavor(self):
+        even = even_cocycle(2, gapped=True, gap=1.0, wiggle=0.1, phase_amp=0.3, amp1=0.3)
+        odd = odd_cocycle(2)
+        for c in (even, odd):
+            assert cocycle_add(c, c).flavor == c.flavor
+            assert collapse_invertible(c, cfg=QCFG).flavor == c.flavor
+            assert shift_superconnection(c, c.A, QCFG).flavor == c.flavor
 
 
 class TestAddAndClass:

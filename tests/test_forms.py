@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg as sla
 
 from superchern import forms
+from superchern.dk import DKCocycle
 from superchern.errors import (
     ChartMismatchError,
     ClosednessError,
@@ -31,7 +32,7 @@ from superchern.forms import (
     trace_wedge,
     wedge_mul,
 )
-from superchern.oddk import OddCocycle, _sigma_weight, sigma_lift, suspend, tr_sigma
+from superchern.oddk import _sigma_weight, sigma_lift, suspend, tr_sigma
 from superchern.scenes import (
     band_limited_field,
     dirac_twist_superconnection,
@@ -266,9 +267,10 @@ def _affine(chart, k, modes):
 
 def _suspension():
     base = TorusChart(1, 4)
-    cocycle = OddCocycle(
+    cocycle = DKCocycle(
         dirac_twist_superconnection(base, 1, modes=3, scale=2.0),
         GradedMatrixForm.zeros(base, Grading.trivial(1)),
+        "odd",
     )
     return -curvature(suspend(cocycle, fiber_modes=3, grid_size=4).A)
 

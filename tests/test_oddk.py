@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from superchern.dk import curvature_class
+from superchern.dk import (
+    DKCocycle,
+    cocycle_add,
+    collapse_invertible,
+    curvature_class,
+    shift_superconnection,
+)
 from superchern.errors import ChartMismatchError
 from superchern.forms import (
     GradedMatrixForm,
@@ -18,15 +24,10 @@ from superchern.forms import (
     wedge_mul,
 )
 from superchern.oddk import (
-    OddCocycle,
     SigmaElement,
     odd_chern,
-    odd_cocycle_add,
-    odd_collapse_invertible,
-    odd_curvature_class,
     odd_eta_between,
     odd_eta_infinity,
-    odd_shift_superconnection,
     sigma_lift,
     suspend,
     tr_sigma,
@@ -36,6 +37,13 @@ from superchern.superconn import Superconnection
 
 CH1 = TorusChart(1, 32)
 POINT = TorusChart(0)
+
+
+def odd_cocycle(a, omega=None):
+    """The odd-flavored cocycle (a, omega), with omega = 0 when not given."""
+    if omega is None:
+        omega = GradedMatrixForm.zeros(a.chart, Grading.trivial(1))
+    return DKCocycle(a, omega, "odd")
 
 
 def sigma_el(chart, rank, seed, amp=1.0):
@@ -188,27 +196,35 @@ class TestOddEta:
             CH1, Grading.trivial(2), a.term0_field() + 2.5 * np.eye(2),
             [a.coeff.component((0,))],
         )
-        c = OddCocycle(shifted, omega)
-        cl = odd_curvature_class(c)
-        out = odd_shift_superconnection(
+        c = odd_cocycle(shifted, omega)
+        cl = curvature_class(c)
+        assert sup_norm(cl - odd_chern(shifted) - exterior_d(omega)) == 0.0
+        out = shift_superconnection(
             c,
             Superconnection(
                 shifted.coeff
                 + 0.2 * random_odd_superconnection(rng, CH1, 2, 0.3, 0.2, 1).coeff
             ),
         )
-        assert sup_norm(odd_curvature_class(out) - cl) < 1e-8
-        collapsed = odd_collapse_invertible(c, tol=1e-10)
-        assert collapsed.rank == 0
-        assert sup_norm(odd_curvature_class(collapsed) - cl) < 1e-8
-        doubled = odd_cocycle_add(c, c)
-        assert sup_norm(odd_curvature_class(doubled) - 2.0 * cl) < 1e-8
+        assert out.flavor == "odd"
+        assert sup_norm(curvature_class(out) - cl) < 1e-8
+        collapsed = collapse_invertible(c, tol=1e-10)
+        assert collapsed.rank == 0 and collapsed.flavor == "odd"
+        assert sup_norm(curvature_class(collapsed) - cl) < 1e-8
+        # on T^1 the class alone would not see an even eta form: its degree-1
+        # part is closed and its degree-0 part is the odd one; the odd
+        # relations add even-degree forms only
+        for form in (out.omega, collapsed.omega):
+            assert not form.data[1].any()
+        doubled = cocycle_add(c, c)
+        assert doubled.flavor == "odd"
+        assert sup_norm(curvature_class(doubled) - 2.0 * cl) < 1e-8
 
 
 class TestSuspension:
     def test_point_base_shape_and_zero_omega(self):
         a = Superconnection.from_terms(POINT, Grading.trivial(1), np.array([[0.8 + 0j]]))
-        c = OddCocycle(a, GradedMatrixForm.zeros(POINT, Grading.trivial(1)))
+        c = odd_cocycle(a)
         s = suspend(c, fiber_modes=6, grid_size=16)
         assert s.chart.dim == 1
         assert s.rank == 2 * (2 * 6 + 1)
@@ -219,7 +235,7 @@ class TestSuspension:
         # per-circle integral of the suspended class against the odd class of
         # the input; over a point both sides vanish
         a = Superconnection.from_terms(POINT, Grading.trivial(1), np.array([[0.8 + 0j]]))
-        c = OddCocycle(a, GradedMatrixForm.zeros(POINT, Grading.trivial(1)))
+        c = odd_cocycle(a)
         s = suspend(c, fiber_modes=16, grid_size=8)
         per = integrate(curvature_class(s), (0,))
         assert abs(per) < 1e-6
@@ -231,7 +247,7 @@ class TestSuspension:
         a = Superconnection.from_terms(
             ch, Grading.trivial(1), np.ones(ch.shape + (1, 1), dtype=complex)
         )
-        s = suspend(OddCocycle(a, omega), fiber_modes=2, grid_size=8)
+        s = suspend(odd_cocycle(a, omega), fiber_modes=2, grid_size=8)
         comp = s.omega.component((0,))[..., 0, 0]
         assert np.allclose(comp, 2 * np.pi)
 
@@ -241,13 +257,10 @@ class TestSuspension:
         ch = TorusChart(1, 16)
         ratios = []
         for k in (1, 2):
-            c = OddCocycle(
-                dirac_twist_superconnection(ch, k, modes=3, scale=2.0),
-                GradedMatrixForm.zeros(ch, Grading.trivial(1)),
-            )
+            c = odd_cocycle(dirac_twist_superconnection(ch, k, modes=3, scale=2.0))
             s = suspend(c, fiber_modes=3, grid_size=16)
             even_per = integrate(curvature_class(s), (0, 1))
-            odd_per = integrate(odd_curvature_class(c), (0,))
+            odd_per = integrate(curvature_class(c), (0,))
             ratios.append(even_per / odd_per)
         assert abs(ratios[1] / ratios[0] - 1.0) < 1e-6
         # the measured suspension unit sits at -2i sqrt(pi) up to truncation
@@ -256,19 +269,13 @@ class TestSuspension:
     @pytest.mark.parametrize("base_n, grid_size", [(8, 16), (16, 8)])
     def test_grid_other_than_the_base_grid_is_refused(self, base_n, grid_size):
         ch = TorusChart(1, base_n)
-        c = OddCocycle(
-            dirac_twist_superconnection(ch, 1, modes=1),
-            GradedMatrixForm.zeros(ch, Grading.trivial(1)),
-        )
+        c = odd_cocycle(dirac_twist_superconnection(ch, 1, modes=1))
         with pytest.raises(ChartMismatchError):
             suspend(c, fiber_modes=1, grid_size=grid_size)
 
     def test_default_grid_is_the_base_grid(self):
         ch = TorusChart(1, 4)
-        c = OddCocycle(
-            dirac_twist_superconnection(ch, 1, modes=1),
-            GradedMatrixForm.zeros(ch, Grading.trivial(1)),
-        )
+        c = odd_cocycle(dirac_twist_superconnection(ch, 1, modes=1))
         assert suspend(c, fiber_modes=1).chart == TorusChart(2, 4)
 
     def test_sigma_placement_of_every_form_degree(self, rng):
@@ -278,7 +285,7 @@ class TestSuspension:
         a = random_odd_superconnection(rng, ch, 2)
         base_slope = np.array([[0.3, 0.1j], [-0.1j, -0.2]])
         a = Superconnection(a.coeff, {0: base_slope})
-        s = suspend(OddCocycle(a, GradedMatrixForm.zeros(ch, Grading.trivial(1))), fiber_modes=1)
+        s = suspend(odd_cocycle(a), fiber_modes=1)
         m, modes, nu = 2, 3, 8
         big = modes * m
 
@@ -306,8 +313,20 @@ class TestSuspension:
         assert np.array_equal(s.A.affine[0], slopes[0])
         assert np.array_equal(s.A.affine[1], slopes[1])
 
+    @pytest.mark.parametrize(
+        "grading", [Grading.balanced(1, 1), Grading.trivial(2)], ids=["graded", "ungraded"]
+    )
+    def test_even_input_is_refused(self, grading):
+        # an even cocycle is refused whatever its grading
+        ch = TorusChart(1, 8)
+        c = DKCocycle(
+            Superconnection.trivial(ch, grading), GradedMatrixForm.zeros(ch, Grading.trivial(1))
+        )
+        with pytest.raises(ChartMismatchError, match="odd cocycle"):
+            suspend(c, fiber_modes=1)
+
     def test_dimension_guard(self, rng):
         a = random_odd_superconnection(rng, TorusChart(3, 8), 1)
-        c = OddCocycle(a, GradedMatrixForm.zeros(TorusChart(3, 8), Grading.trivial(1)))
+        c = odd_cocycle(a)
         with pytest.raises(ChartMismatchError):
             suspend(c)
