@@ -251,15 +251,10 @@ def additivity_residual(a0, a1, a2, eta01) -> float:
 
 def homotopy_residual(a0, a1, a2, eta01) -> float:
     """Harmonic gap between eta(A0, A1) and eta along a quadratic detour through A2."""
+    # (1 - t) A0 + t A1 + 4 t (1 - t) detour = A0 + t P1 + t^2 P2
     detour = a2.coeff - 0.5 * (a0.coeff + a1.coeff)
-
-    def path(t):
-        return Superconnection((1 - t) * a0.coeff + t * a1.coeff + (4 * t * (1 - t)) * detour)
-
-    def dpath(t):
-        return (a1.coeff - a0.coeff) + (4 - 8 * t) * detour
-
-    return harm_gap(eta_along_path(path, dpath).form, eta01)
+    p1 = (a1.coeff - a0.coeff) + 4 * detour
+    return harm_gap(eta_along_path(a0, [p1, -4 * detour]).form, eta01)
 
 
 def collapse_residual(a):
@@ -391,7 +386,7 @@ def _suite_chern(cfg: SuiteConfig):
             f"chern-closed-ramp-{i}",
             "chern-closedness-ramp",
             r2 / max(r1, 1e-300),
-            0.1,
+            0.1 * ts,
             lhs=r1,
             rhs=r2,
         )
@@ -444,7 +439,7 @@ def _suite_eta(cfg: SuiteConfig):
         "eta-quadrature-ramp",
         "eta-quadrature-convergence",
         est4 / max(est2, 1e-300),
-        1e-2,
+        1e-2 * ts,
         lhs=est2,
         rhs=est4,
     )
@@ -692,7 +687,7 @@ def _suite_spectral(cfg: SuiteConfig):
         "spectral-duhamel",
         "heat-derivative-formula",
         abs(rep["richardson_ratio"] - 4.0),
-        0.4,
+        0.4 * ts,
         lhs=rep["fd_residual"],
         rhs=rep["richardson_ratio"],
     )
@@ -725,7 +720,7 @@ def _suite_twisted(cfg: SuiteConfig):
         "gerbe-coherence",
         rep["max_violation"],
         1e-10 * ts,
-        ok=rep["passes"],
+        ok=rep["passes"] and rep["max_violation"] <= 1e-10 * ts,
     )
     rep_bad = verify_gerbe(bad)
     detected = (not rep_bad["passes"]) and abs(rep_bad["max_violation"] - 1e-3) < 3e-4

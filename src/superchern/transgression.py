@@ -9,13 +9,11 @@ term has a spectral gap.
 eta_between and eta_infinity take the trace functional as a constant fibre
 weight W, tr(x) = Tr(W x) (gamma for the supertrace, the sigma-block selector
 for the odd variant), and an optional constant curving added to the
-curvature (the twisted variant), so all variants share one quadrature core.
-That core evaluates one exponential per node but contracts once per rule:
-the trace is linear in the heat and dA/dt is a fixed form (the linear path)
-or a t-weighted sum of the fixed degree parts of A (the rescaled family), so
-each rule sums its weighted heats, once per degree part of dA/dt, before
-taking the trace.  eta_along_path contracts at every node, since a user
-path's derivative is arbitrary.
+curvature (the twisted variant).  They and eta_along_path (polynomial paths)
+share one quadrature core, which evaluates one exponential per node but
+contracts once per rule: the trace is linear in the heat and dA/dt is a
+t-weighted sum of fixed forms, so each rule sums its weighted heats, once
+per fixed form, before taking the trace.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInvertibleError
-from .forms import GradedMatrixForm, algebra_exp, exterior_d, trace_wedge, wedge_mul
+from .forms import GradedMatrixForm, _fibre_mul, algebra_exp, exterior_d, trace_wedge, wedge_mul
 from .superconn import Superconnection, affine_path, curvature, min_gap
 
 __all__ = [
@@ -77,23 +75,6 @@ def _panel_nodes(a: float, b: float, panels: int, order: int):
     return np.concatenate(ts), np.concatenate(ws)
 
 
-def _quad_form(integrand, a: float, b: float, panels: int, order: int):
-    ts, ws = _panel_nodes(a, b, panels, order)
-    total = None
-    for t, w in zip(ts, ws):
-        val = integrand(float(t)) * w
-        total = val if total is None else total + val
-    return total
-
-
-def integrate_form(integrand, a: float, b: float, cfg: QuadratureConfig):
-    """Composite Gauss integral of a form-valued function with an order-halving
-    error estimate.  Returns (form, est_error)."""
-    full = _quad_form(integrand, a, b, cfg.panels, cfg.order)
-    coarse = _quad_form(integrand, a, b, cfg.panels, max(1, cfg.order // 2))
-    return full, (full - coarse).sup_norm()
-
-
 def _eta_quadrature(heat, w, x0, higher, a: float, b: float, cfg: QuadratureConfig):
     """Gauss integral over [a, b] of Tr(w (dA/dt ^ H(t))) with an order-halving
     error estimate, where dA/dt = x0 + sum_k f_k(t) x_k over (x_k, f_k) in
@@ -140,9 +121,32 @@ def _node_heat(theta: np.ndarray, curving: GradedMatrixForm | None, like) -> np.
     return algebra_exp(GradedMatrixForm(like.chart, like.grading, theta)).data
 
 
-def _rescale_slope(k, t):
-    """d/dt t^(1-k), the factor of the degree-k term of A in dA_t/dt."""
-    return (1 - k) * t ** (-k)
+def _power_slope(p, t):
+    """d/dt t^p: the factor of P_p in dB/dt along a polynomial path, and with
+    p = 1 - k that of the degree-k term of A in dA_t/dt on the rescaled family."""
+    return p * t ** (p - 1)
+
+
+def _curvature_coefficients(a0: Superconnection, coeffs: list) -> list:
+    """Components of F_k, F(t) = sum_k t^k F_k, along B(t) = B_0 + sum_j t^j P_j for
+    coeffs = [P_1, ..., P_n]: F_0 = F(A_0), with the fixed affine slopes of A_0, and
+    F_k = dP_k + sum_{i+j=k} P_i P_j (P_0 = B_0), summed in that order over the terms present.
+    """
+    ps, n = [a0.coeff] + coeffs, len(coeffs)
+    out = [curvature(a0).data]
+    for k in range(1, 2 * n + 1):
+        terms = [exterior_d(ps[k])] if k <= n else []
+        terms += [wedge_mul(ps[i], ps[k - i]) for i in range(max(0, k - n), min(k, n) + 1)]
+        out.append(sum(terms[1:], terms[0]).data)
+    return out
+
+
+def _horner(coeffs: list, t: float) -> np.ndarray:
+    """sum_k t^k coeffs[k] by Horner's rule, as a fresh array (len >= 2)."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = c + t * acc
+    return acc
 
 
 def _gamma(a: Superconnection) -> np.ndarray:
@@ -161,39 +165,39 @@ def eta_between(
     """Transgression form along the linear path from a0 to a1.
 
     Along B(t) = B_0 + t D the curvature is F(A_0) + t (dD + B_0 D + D B_0)
-    + t^2 D D (the affine slopes agree at both ends, so they only enter
-    F(A_0)); the three coefficients are computed once.
+    + t^2 D D; the three coefficients are computed once.
     """
     cfg = cfg or QuadratureConfig()
     _, diff = affine_path(a0, a1)
-    b0 = a0.coeff
-    f0 = curvature(a0).data
-    f1 = (exterior_d(diff) + wedge_mul(b0, diff) + wedge_mul(diff, b0)).data
-    f2 = wedge_mul(diff, diff).data
+    fs = _curvature_coefficients(a0, [diff])
     w = _gamma(a0) if weight is None else weight
 
     def heat(t):
-        return _node_heat(f0 + t * (f1 + t * f2), curving, b0)
+        return _node_heat(_horner(fs, t), curving, a0.coeff)
 
     form, est = _eta_quadrature(heat, w, diff, [], 0.0, 1.0, cfg)
     return EtaResult(form=form, est_error=est)
 
 
-def eta_along_path(path, dpath, cfg: QuadratureConfig | None = None) -> EtaResult:
-    """Transgression along an arbitrary smooth path of superconnections.
+def eta_along_path(a0: Superconnection, coeffs, cfg: QuadratureConfig | None = None) -> EtaResult:
+    """Transgression along B(t) = B_0 + sum_{j=1..n} t^j P_j, n >= 1, from a0 at t = 0
+    (its affine slopes stay fixed), for coeffs = [P_1, ..., P_n].
 
-    path(t) returns a Superconnection and dpath(t) its coefficient-form
-    t-derivative; used for homotopy-invariance checks with user paths.  The
-    curvature is recomputed at every node.
+    Each node sets the degree-0 part of its Horner-evaluated F(t) to B_[0](t)^2, which
+    it equals: the polynomial's round-off would leave a (1|1) Clifford part |phi|^2 1
+    short of central, and algebra_exp would take the Pade path there.
     """
     cfg = cfg or QuadratureConfig()
+    fs = _curvature_coefficients(a0, coeffs)
+    b0s = [p.data[0] for p in [a0.coeff] + coeffs]
 
-    def integrand(t):
-        at = path(t)
-        heat = algebra_exp(-curvature(at))
-        return trace_wedge(_gamma(at), dpath(t), heat)
+    def heat(t):
+        theta, b0 = _horner(fs, t), _horner(b0s, t)
+        theta[0] = _fibre_mul(b0, b0)
+        return _node_heat(theta, None, a0.coeff)
 
-    form, est = integrate_form(integrand, 0.0, 1.0, cfg)
+    higher = [(p, functools.partial(_power_slope, j)) for j, p in enumerate(coeffs[1:], 2)]
+    form, est = _eta_quadrature(heat, _gamma(a0), coeffs[0], higher, 0.0, 1.0, cfg)
     return EtaResult(form=form, est_error=est)
 
 
@@ -229,11 +233,11 @@ def eta_infinity(
 
     # dA_t/dt = A_[0] + sum_{k >= 2} (1 - k) t^-k A_[k]; degree 1 drops out
     higher = [
-        (a.coeff.degree_part(k), functools.partial(_rescale_slope, k))
+        (a.coeff.degree_part(k), functools.partial(_power_slope, 1 - k))
         for k in a.coeff.degrees_present()
         if k >= 2
     ]
-    at_one = GradedMatrixForm(a.chart, a.grading, a.coeff.data * _rescale_slope(degree, 1.0))
+    at_one = GradedMatrixForm(a.chart, a.grading, a.coeff.data * _power_slope(1 - degree, 1.0))
     heat_one = GradedMatrixForm(a.chart, a.grading, heat(1.0))
     start = trace_wedge(w, at_one, heat_one)
     big_c = max(start.sup_norm(), tol) * _TAIL_SAFETY

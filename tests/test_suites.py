@@ -127,3 +127,20 @@ def test_threads_leave_hashes_unchanged(reports, monkeypatch):
     threaded = run_many([SuiteConfig(name, seed=42, grid=8) for name in names])
     assert [r.content_hash() for r in threaded] == [reports[n].content_hash() for n in names]
     assert all(rec.seconds > 0 for r in threaded for rec in r.records)
+
+
+# the checks that stay green under tol_scale=0 at grid 8, seed 42: exact-zero
+# residuals and boolean checks with a fixed bar; every ramp and every other
+# residual is held to its scaled tolerance
+ZERO_SCALE_PASSING = {
+    "chern-identities": [],
+    "eta-identities": ["eta-stab-vanishing-between", "eta-stab-vanishing-infinity"],
+    "spectral-lemmas": ["spectral-composition", "spectral-summability"],
+    "twisted": ["twisted-dH-zero", "twisted-gerbe-perturbation"],
+}
+
+
+@pytest.mark.parametrize("suite", sorted(ZERO_SCALE_PASSING))
+def test_zero_tolerance_scale_fails_approximate_checks(suite):
+    report = run_suite(SuiteConfig(suite, seed=42, grid=8, tol_scale=0.0))
+    assert sorted(r.name for r in report.records if r.passed) == ZERO_SCALE_PASSING[suite]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from superchern import transgression
+from superchern import forms, transgression
 from superchern.errors import NotInvertibleError
 from superchern.forms import (
     GradedMatrixForm,
@@ -47,6 +47,7 @@ from superchern.transgression import (
     QuadratureConfig,
     _gamma,
     _panel_nodes,
+    eta_along_path,
     eta_between,
     eta_infinity,
 )
@@ -160,15 +161,15 @@ def _nodes(a, b, cfg):
     return list(full) + list(_panel_nodes(a, b, cfg.panels, cfg.order // 2)[0])
 
 
-def _assert_close(got, ref):
-    assert sup_norm(got - ref) <= 1e-14 * max(sup_norm(ref), 1.0)
+def _assert_close(got, ref, rel=1e-14):
+    assert sup_norm(got - ref) <= rel * max(sup_norm(ref), 1.0)
 
 
-def _sigma_affine_pair():
+def _sigma_affine_pair(seed=15):
     # a mode-shift family and a periodic perturbation of it, same slope
     ch = TorusChart(1, 32)
     a0 = dirac_twist_superconnection(ch, 1, modes=2, scale=2.0)
-    bump = random_odd_superconnection(np.random.default_rng(15), ch, a0.rank, 0.4, 0.3, 1)
+    bump = random_odd_superconnection(np.random.default_rng(seed), ch, a0.rank, 0.4, 0.3, 1)
     a1 = Superconnection(a0.coeff + bump.coeff, a0.affine)
     return sigma_lift(a0), sigma_lift(a1)
 
@@ -176,6 +177,29 @@ def _sigma_affine_pair():
 def _twisted_pair(rng):
     kappa = random_scalar_form(rng, CH2, {2}, 0.8)
     return mk(11), mk(12), _curving(kappa, G11), kappa
+
+
+def _detour(a0, a1, a2):
+    """Coefficients [P1, P2] of homotopy_residual's quadratic detour through a2."""
+    detour = a2.coeff - 0.5 * (a0.coeff + a1.coeff)
+    return [(a1.coeff - a0.coeff) + 4 * detour, -4 * detour]
+
+
+def _polynomial_scene(scene):
+    """a0 and the coefficients of a quadratic path, with or without affine slopes."""
+    if scene == "random":
+        a0, a1, a2 = mk(6), mk(7), mk(8)
+    else:
+        (a0, a1), a2 = _sigma_affine_pair(), _sigma_affine_pair(16)[1]
+    return a0, _detour(a0, a1, a2)
+
+
+def _polynomial_path(a0, coeffs):
+    """t -> the superconnection d + B_0 + sum_j t^j P_j, with a0's slopes."""
+    return lambda t: Superconnection(
+        a0.coeff + sum((t**j * p for j, p in enumerate(coeffs[1:], 2)), t * coeffs[0]),
+        a0.affine,
+    )
 
 
 class TestNodeCurvature:
@@ -200,6 +224,18 @@ class TestNodeCurvature:
         for t, node in zip(ts, seen):
             ref = curvature(path(t)) if kappa is None else twisted_theta(path(t), kappa)
             _assert_close(-node, ref)
+
+    @pytest.mark.parametrize("scene", ["random", "sigma-affine"])
+    def test_polynomial_path(self, monkeypatch, scene):
+        a0, coeffs = _polynomial_scene(scene)
+        seen = _first_args(monkeypatch)
+        eta_along_path(a0, coeffs, self.CFG)
+        path = _polynomial_path(a0, coeffs)
+        ts = _nodes(0.0, 1.0, self.CFG)
+        assert len(seen) == len(ts)
+        # F(t) sums t^k F_k, whose terms exceed F(t) several times over
+        for t, node in zip(ts, seen):
+            _assert_close(-node, curvature(path(t)), rel=1e-13)
 
     @pytest.mark.parametrize("scene", ["gapped", "sigma-affine", "twisted"])
     def test_rescaled_family(self, monkeypatch, rng, scene):
@@ -321,6 +357,18 @@ class TestContractionPerRule:
         assert abs(res.truncation_T - t_max) <= 1e-13 * t_max
         _assert_matches(res, form, est)
 
+    def test_polynomial_path(self):
+        a0, coeffs = _polynomial_scene("random")
+        path = _polynomial_path(a0, coeffs)
+
+        def deriv(t):
+            return coeffs[0] + (2 * t) * coeffs[1]
+
+        ref = _per_node_quadrature(
+            lambda t: curvature(path(t)), deriv, _gamma(a0), 0.0, 1.0, self.CFG
+        )
+        _assert_matches(eta_along_path(a0, coeffs, self.CFG), *ref)
+
     def test_odd_linear_path(self, rng):
         ch = TorusChart(1, 32)
         a0, a1 = (random_odd_superconnection(rng, ch, 2, 0.4, 0.3, 1) for _ in range(2))
@@ -354,6 +402,12 @@ class TestContractionCount:
         coarse = QuadratureConfig(panels=4, order=2)
         assert self._counts(monkeypatch, lambda: eta_between(a0, a1, coarse)) == (12, 2)
 
+    def test_polynomial_path(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        a0, a1, a2 = (random_superconnection(rng, self.CH, G11, 0.22, 0.16, 1) for _ in range(3))
+        coeffs = _detour(a0, a1, a2)
+        assert self._counts(monkeypatch, lambda: eta_along_path(a0, coeffs)) == (192, 4)
+
     @pytest.mark.parametrize("with_higher, parts", [(False, 1), (True, 2)])
     def test_rescaled_family(self, monkeypatch, with_higher, parts):
         a = gapped_superconnection(
@@ -362,3 +416,39 @@ class TestContractionCount:
         )
         counts = self._counts(monkeypatch, lambda: eta_infinity(a, tol=1e-10))
         assert counts == (193, 1 + 2 * parts)
+
+
+class TestPolynomialPath:
+    """eta_along_path on the shared core: its linear case, its quadrature error
+    and the central evaluation at every node."""
+
+    def test_linear_path_is_eta_between(self):
+        a0, a1 = mk(13), mk(14)
+        res = eta_along_path(a0, [a1.coeff - a0.coeff])
+        ref = eta_between(a0, a1)
+        assert sup_norm(res.form - ref.form) <= 1e-13
+        assert abs(res.est_error - ref.est_error) <= 1e-13
+
+    def test_quadratic_path_against_finer_rule(self):
+        a0, coeffs = _polynomial_scene("random")
+        res = eta_along_path(a0, coeffs)
+        ref = eta_along_path(a0, coeffs, QuadratureConfig(panels=16, order=16))
+        assert sup_norm(res.form) > 1e-3
+        assert sup_norm(res.form - ref.form) <= res.est_error + 1e-13
+
+    def test_every_node_is_central(self, monkeypatch):
+        # F(t) by Horner's rule leaves the (1|1) degree-0 part |phi|^2 1 short
+        # of central by round-off; B_[0](t)^2 is exactly central
+        a0, coeffs = _polynomial_scene("random")
+        nodes = _first_args(monkeypatch)
+        pade = []
+        original = forms._left_regular_exp
+
+        def spy(x, table):
+            pade.append(x)
+            return original(x, table)
+
+        monkeypatch.setattr(forms, "_left_regular_exp", spy)
+        eta_along_path(a0, coeffs)
+        assert len(nodes) == 192
+        assert pade == []
