@@ -374,20 +374,30 @@ def _nonzero_components(x: np.ndarray) -> np.ndarray:
 
 
 def _wedge_data(
-    x: np.ndarray, y: np.ndarray, table: np.ndarray, y_live: np.ndarray | None = None
+    x: np.ndarray,
+    y: np.ndarray,
+    table: np.ndarray,
+    y_live: np.ndarray | None = None,
+    written: np.ndarray | None = None,
 ) -> np.ndarray:
     """wedge_mul on component arrays of shape ``(2**dim, ..., m, m)``.
 
     table is the grading's conj_table; zero components are skipped, and so
     are the components of y that y_live (default: the nonzero ones) marks
-    False, which are then read as 0.
+    False, which are then read as 0.  A boolean array written, if given, is
+    set True at every output component a product was added into; the others
+    hold +0 only.
     """
     nc = x.shape[0]
     signs = _wedge_signs(nc.bit_length() - 1)
     x_live = _nonzero_components(x)
     if y_live is None:
         y_live = _nonzero_components(y)
-    out = np.zeros_like(x)
+    # np.zeros, not np.zeros_like: zeros_like writes every page, while the
+    # calloc-backed np.zeros leaves a component that no product writes
+    # without resident memory (on T^2 the square of a connection writes
+    # only dx0 dx1, one component of four).
+    out = np.zeros(x.shape, x.dtype)
     for i in range(nc):
         if not x_live[i]:
             continue
@@ -403,6 +413,8 @@ def _wedge_data(
                 out[i | j] += contrib
             else:
                 out[i | j] -= contrib
+            if written is not None:
+                written[i | j] = True
     return out
 
 
@@ -626,18 +638,26 @@ def _nilpotent_exp(x: np.ndarray, table: np.ndarray) -> np.ndarray:
     with that part masked out, and the unit is added last, onto the exact
     zero that every power leaves in degree 0.  numpy divides a complex
     array by a real k as a multiplication by 1 / k, so the cheaper in-place
-    product below has the bits of the division.
+    product below has the bits of the division.  Only the components of a
+    power that a product wrote are scaled and added; the others are +0, and
+    out[c] += 0.0 is what adding them did (it turns -0 into +0).
     """
-    dim = x.shape[0].bit_length() - 1
+    nc = x.shape[0]
+    dim = nc.bit_length() - 1
     live = _nonzero_components(x)
     live[0] = False
     out = x.copy()
     out[0] = 0.0
     term = out
     for k in range(2, dim + 1):
-        term = _wedge_data(term, x, table, live)
-        term *= 1.0 / k
-        out += term
+        written = np.zeros(nc, dtype=bool)
+        term = _wedge_data(term, x, table, live, written)
+        for c in range(nc):
+            if written[c]:
+                term[c] *= 1.0 / k
+                out[c] += term[c]
+            else:
+                out[c] += 0.0
     diag = np.einsum("...rr->...r", out[0])
     diag += 1.0
     return out
@@ -790,7 +810,7 @@ def _exp_blocks(x: np.ndarray, mag: np.ndarray, sig: np.ndarray, blocks: list) -
     groups = {}
     for idx in blocks:
         groups.setdefault((idx.size, sig[idx].tobytes()), []).append(idx)
-    out = np.zeros_like(x)
+    out = np.zeros(x.shape, x.dtype)
     for members in groups.values():
         idx = np.stack(members)
         rows, cols = idx[:, :, None], idx[:, None, :]

@@ -19,8 +19,8 @@ import numpy as np
 
 from .dk import DKCocycle, curvature_class
 from .errors import ChartMismatchError
-from .forms import GradedMatrixForm, Grading, TorusChart, algebra_exp, wedge_mul
-from .superconn import Superconnection, curvature
+from .forms import GradedMatrixForm, Grading, TorusChart, wedge_mul
+from .superconn import Superconnection, curvature, neg_exp
 from .transgression import EtaResult, QuadratureConfig, eta_between, eta_infinity
 
 __all__ = [
@@ -133,7 +133,7 @@ def _sigma_weight(rank: int) -> np.ndarray:
 
 def odd_chern(a: Superconnection) -> GradedMatrixForm:
     """Tr_sigma exp(-(sigma-lift)^2); a closed scalar form of odd degrees."""
-    return tr_sigma(algebra_exp(-curvature(sigma_lift(a))))
+    return tr_sigma(neg_exp(curvature(sigma_lift(a))))
 
 
 def odd_eta_between(

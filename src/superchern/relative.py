@@ -22,11 +22,10 @@ from .forms import (
     GradedMatrixForm,
     Grading,
     TorusChart,
-    algebra_exp,
     exterior_d,
     supertrace,
 )
-from .superconn import Superconnection, chern_character, curvature, projected_connection
+from .superconn import Superconnection, chern_character, curvature, neg_exp, projected_connection
 from .transgression import QuadratureConfig, eta_between, eta_infinity
 
 __all__ = [
@@ -296,6 +295,17 @@ def relative_chern_pair(
     return RelativeForm(chern_character(a), eta.form)
 
 
+def _doubled(w: np.ndarray) -> np.ndarray | None:
+    """The field w (+) w on the doubled bundle, or None where w vanishes."""
+    if not w.any():
+        return None
+    m = w.shape[-1]
+    big = np.zeros(w.shape[:-2] + (2 * m, 2 * m), dtype=np.complex128)
+    big[..., :m, :m] = w
+    big[..., m:, m:] = w
+    return big
+
+
 def index_character(
     a: Superconnection, u: OpenSet, c: float | None = None, xi_shape="bump"
 ) -> RelativeForm:
@@ -313,6 +323,9 @@ def index_character(
     P0 term is exactly -Str_gamma exp(-F(d + w)), one exponential at rank m.
     The P term contracts each heat component H_I with the weight
     W = P Gamma P (Gamma the doubled grading): Str(P H_I P) = tr(W H_I).
+    Of the projector construction only P is kept, and only until W and the
+    projected connection are formed, so that no field of it stays alive
+    through the rank-2m exponential.
 
     The window c defaults to half the gap on the core of U; a window that is
     not finite and positive (no gap, or an empty core) raises
@@ -327,22 +340,20 @@ def index_character(
         raise NotInvertibleError(
             f"parametrix window c = {c} must be finite and positive", core_min_gap(a, u)
         )
-    pr = index_projectors(a, u, c, xi_shape)
+    p = index_projectors(a, u, c, xi_shape).p
     chart = a.chart
-    m = a.rank
     grading2 = a.grading.concat(a.grading.flip())
-    omega_axes = []
-    for axis in range(chart.dim):
-        w = a.coeff.data[1 << axis]
-        big = None
-        if w.any():
-            big = np.zeros(chart.shape + (2 * m, 2 * m), dtype=np.complex128)
-            big[..., :m, :m] = w
-            big[..., m:, m:] = w
-        omega_axes.append(big)
-    heat = algebra_exp(-curvature(projected_connection(pr.p, omega_axes, chart, grading2)))
-    weight = (pr.p * grading2.signature) @ pr.p
-    heat0 = algebra_exp(-curvature(Superconnection(a.coeff.degree_part(1))))
+    omega_axes = [_doubled(a.coeff.data[1 << axis]) for axis in range(chart.dim)]
+    weight = (p * grading2.signature) @ p
+    # each field goes as soon as the next is formed (one T^2 N256 form of
+    # the doubled rank-2 bundle is 67 MB)
+    conn = projected_connection(p, omega_axes, chart, grading2)
+    del p, omega_axes
+    f = curvature(conn)
+    del conn
+    heat = neg_exp(f)
+    del f
+    heat0 = neg_exp(curvature(Superconnection(a.coeff.degree_part(1))))
     chi = supertrace(heat0)
     chi.data[..., 0, 0] += np.einsum("...ab,i...ba->i...", weight, heat.data)
     chi.data *= 0.5

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import platform
 import time
@@ -291,13 +292,9 @@ def odd_transgression_residual(a0, a1, eta) -> float:
 
 def odd_point_value():
     """eta_odd(sigma, infinity) at a point and its closed form sqrt(pi)/2 erfc(1)."""
-    import math
-
-    from scipy.special import erfc
-
     apt = Superconnection.from_terms(TorusChart(0), Grading.trivial(1), np.array([[1.0 + 0j]]))
     val = complex(odd_eta_infinity(apt, tol=1e-12).form.data[0, 0, 0])
-    return val, math.sqrt(math.pi) / 2.0 * erfc(1.0)
+    return val, math.sqrt(math.pi) / 2.0 * math.erfc(1.0)
 
 
 def relative_d_squared(rf, u) -> float:
@@ -638,8 +635,6 @@ def _suite_relative(cfg: SuiteConfig):
 
 
 def _suite_spectral(cfg: SuiteConfig):
-    import math
-
     ts = cfg.tol_scale
     rng = np.random.default_rng(cfg.seed)
     count = 25

@@ -25,6 +25,7 @@ from .forms import (
     GradedMatrixForm,
     Grading,
     TorusChart,
+    _axis_derivative,
     algebra_exp,
     exterior_d,
     supertrace,
@@ -35,6 +36,7 @@ __all__ = [
     "Superconnection",
     "GaugeTransform",
     "curvature",
+    "neg_exp",
     "chern_character",
     "rescale",
     "direct_sum",
@@ -176,12 +178,19 @@ def curvature(a: Superconnection) -> GradedMatrixForm:
             db.data[1 << axis] += slope
     else:
         db = exterior_d(b)
-    return db + wedge_mul(b, b)
+    db.data += wedge_mul(b, b).data
+    return db
+
+
+def neg_exp(theta: GradedMatrixForm) -> GradedMatrixForm:
+    """exp(-theta) for a fresh form theta, which is negated in place."""
+    np.negative(theta.data, out=theta.data)
+    return algebra_exp(theta)
 
 
 def chern_character(a: Superconnection) -> GradedMatrixForm:
     """Str exp(-F); a closed scalar form of even degrees."""
-    return supertrace(algebra_exp(-curvature(a)))
+    return supertrace(neg_exp(curvature(a)))
 
 
 def closedness_defect(a: Superconnection, x: GradedMatrixForm) -> GradedMatrixForm:
@@ -196,7 +205,7 @@ def closedness_defect(a: Superconnection, x: GradedMatrixForm) -> GradedMatrixFo
     x._check_compat(a.coeff)
     if a.affine:
         raise ChartMismatchError("closedness_defect does not support affine terms")
-    heat = algebra_exp(-curvature(a))
+    heat = neg_exp(curvature(a))
     b = a.coeff
     x_even, x_odd = x.parity_split()
     comm = exterior_d(x) + wedge_mul(b, x)
@@ -266,9 +275,10 @@ def projected_connection(
     and the kernel of P.  omega_axes holds w per axis, or None where it vanishes.
     """
     coeff = GradedMatrixForm.zeros(chart, grading)
-    dp = exterior_d(GradedMatrixForm.from_matrix_field(chart, grading, p))
     for axis, w in enumerate(omega_axes):
-        dpa = dp.data[1 << axis]
+        # dP along the axis, with the +0 that exterior_d's sum starts from
+        dpa = _axis_derivative(p, axis)
+        dpa += 0.0
         blend = 2.0 * (p @ dpa) - dpa
         if w is not None:
             p_perp = np.eye(grading.rank) - p

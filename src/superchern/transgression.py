@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotInvertibleError
-from .forms import GradedMatrixForm, _fibre_mul, algebra_exp, exterior_d, trace_wedge, wedge_mul
-from .superconn import Superconnection, affine_path, curvature, min_gap
+from .forms import GradedMatrixForm, _fibre_mul, exterior_d, trace_wedge, wedge_mul
+from .superconn import Superconnection, affine_path, curvature, min_gap, neg_exp
 
 __all__ = [
     "QuadratureConfig",
@@ -117,8 +117,7 @@ def _node_heat(theta: np.ndarray, curving: GradedMatrixForm | None, like) -> np.
     theta, which are overwritten."""
     if curving is not None:
         theta += curving.data
-    np.negative(theta, out=theta)
-    return algebra_exp(GradedMatrixForm(like.chart, like.grading, theta)).data
+    return neg_exp(GradedMatrixForm(like.chart, like.grading, theta)).data
 
 
 def _power_slope(p, t):

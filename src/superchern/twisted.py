@@ -30,13 +30,12 @@ from .forms import (
     TorusChart,
     _derivative_multiplier,
     _wedge_signs,
-    algebra_exp,
     exterior_d,
     sup_norm,
     supertrace,
     wedge_mul,
 )
-from .superconn import Superconnection, curvature
+from .superconn import Superconnection, curvature, neg_exp
 from .transgression import (
     EtaResult,
     QuadratureConfig,
@@ -323,7 +322,7 @@ def twisted_theta(a: Superconnection, kappa: GradedMatrixForm) -> GradedMatrixFo
 
 def twisted_chern(a: Superconnection, kappa: GradedMatrixForm) -> GradedMatrixForm:
     """Str exp(-theta); d_H-closed for H = d kappa."""
-    return supertrace(algebra_exp(-twisted_theta(a, kappa)))
+    return supertrace(neg_exp(twisted_theta(a, kappa)))
 
 
 def twisted_eta_between(

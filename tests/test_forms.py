@@ -36,10 +36,11 @@ from superchern.oddk import _sigma_weight, sigma_lift, suspend, tr_sigma
 from superchern.scenes import (
     band_limited_field,
     dirac_twist_superconnection,
+    random_conn1,
     random_scalar_form,
     random_superconnection,
 )
-from superchern.superconn import curvature, direct_sum, product
+from superchern.superconn import Superconnection, curvature, direct_sum, product
 from superchern.twisted import twisted_theta
 
 
@@ -605,6 +606,40 @@ class TestFibreProduct:
             term = forms._wedge_data(term, x, table) / k
             ref += term
         assert np.array_equal(forms._nilpotent_exp(x, table), ref)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_nilpotent_exp_keeps_signed_zero_bits(self, rng, dim):
+        # -F of a pure connection holds -0 in every component that neither
+        # d nor the square of the connection writes
+        chart = TorusChart(dim, 8)
+        conn = random_conn1(rng, chart, G11, amp=0.8, max_mode=2)
+        x = (-curvature(Superconnection.from_terms(chart, G11, None, conn))).data
+        assert np.signbit(x.view(np.float64)[x.view(np.float64) == 0.0]).any()
+        table = G11.conj_table()
+        assert _same_bits(forms._nilpotent_exp(x, table), _summed_nilpotent_exp(x, table))
+
+
+def _same_bits(got, ref):
+    """Equal float64 words, the sign of every zero included."""
+    got, ref = got.view(np.float64), ref.view(np.float64)
+    return np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def _summed_nilpotent_exp(x, table):
+    """_nilpotent_exp with each power scaled and added as a whole array."""
+    dim = x.shape[0].bit_length() - 1
+    live = forms._nonzero_components(x)
+    live[0] = False
+    out = x.copy()
+    out[0] = 0.0
+    term = out
+    for k in range(2, dim + 1):
+        term = forms._wedge_data(term, x, table, live)
+        term *= 1.0 / k
+        out += term
+    diag = np.einsum("...rr->...r", out[0])
+    diag += 1.0
+    return out
 
 
 def _odd_mask(mag, table):

@@ -1,6 +1,8 @@
 """Relative complex, parametrix/projector construction, index character,
 eta-difference defect, spectral flow."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,21 @@ class TestIndexCharacter:
         tol = 1e-6  # relative-index-total and relative-index-local
         assert abs(total - (-(w[0] + w[1]))) < tol
         assert abs(periods[0] - (-w[0])) >= 10 * tol
+
+    def test_peak_allocation(self):
+        # the rank-2m exponential and its input, output and powers: about four
+        # doubled forms.  The projector field P held through it adds a quarter
+        # form, the projected connection a whole one.
+        a, _, u, _ = winding_testbed(64)
+        c = 0.75 * core_min_gap(a, u)
+        form = 4 * 64**2 * 4**2 * 16  # bytes of one T^2 form at doubled rank 4
+        tracemalloc.start()
+        try:
+            index_character(a, u, c=c, xi_shape=("gauss", 10.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.25 * form
 
     @pytest.mark.parametrize("c", [0.0, -0.1, float("nan"), float("inf")])
     def test_window_must_be_finite_and_positive(self, c):

@@ -2,9 +2,12 @@
 
 import dataclasses
 import os
+import subprocess
+import sys
 
 import pytest
 
+import superchern
 from superchern.errors import ValidationWarning
 from superchern.suites import SUITES, SuiteConfig, run_many, run_suite
 
@@ -144,3 +147,18 @@ ZERO_SCALE_PASSING = {
 def test_zero_tolerance_scale_fails_approximate_checks(suite):
     report = run_suite(SuiteConfig(suite, seed=42, grid=8, tol_scale=0.0))
     assert sorted(r.name for r in report.records if r.passed) == ZERO_SCALE_PASSING[suite]
+
+
+def test_odd_point_value_leaves_scipy_special_unimported():
+    # erfc(1) comes from math; importing scipy.special would cost the odd
+    # suite about 40 ms
+    src = os.path.dirname(os.path.dirname(superchern.__file__))
+    code = (
+        "import sys\n"
+        "from superchern import suites\n"
+        "suites.odd_point_value()\n"
+        "sys.exit('scipy.special' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert done.returncode == 0

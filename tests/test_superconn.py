@@ -9,14 +9,21 @@ from superchern.forms import (
     GradedMatrixForm,
     Grading,
     TorusChart,
+    algebra_exp,
     exterior_d,
     sup_norm,
+    wedge_mul,
 )
+from superchern.oddk import sigma_lift
+from superchern.relative import core_min_gap, index_projectors
 from superchern.scenes import (
     band_limited_field,
+    dirac_twist_superconnection,
     gapped_superconnection,
+    random_conn1,
     random_gauge,
     random_superconnection,
+    winding_testbed,
 )
 from superchern.superconn import (
     GaugeTransform,
@@ -27,7 +34,9 @@ from superchern.superconn import (
     direct_sum,
     gauge,
     min_gap,
+    neg_exp,
     product,
+    projected_connection,
     rescale,
 )
 
@@ -79,6 +88,76 @@ class TestCurvature:
             a.validate(strict=True)
         good = random_superconnection(rng, CH1, G11)
         assert good.validate(strict=True) == []
+
+
+def _same_bits(got, ref):
+    """Equal float64 words, the sign of every zero included."""
+    got, ref = got.view(np.float64), ref.view(np.float64)
+    return np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def _bit_scenes():
+    """Superconnections with every term, pure connections, and affine slopes."""
+    rng = np.random.default_rng(77)
+    ch3 = TorusChart(3, 8)
+    return {
+        "random-T2": random_superconnection(rng, CH2, Grading.balanced(2, 1)),
+        "connection-T2": Superconnection.from_terms(CH2, G11, None, random_conn1(rng, CH2, G11)),
+        "connection-T3": Superconnection.from_terms(ch3, G11, None, random_conn1(rng, ch3, G11)),
+        "affine-T1": sigma_lift(dirac_twist_superconnection(CH1, 1, modes=2)),
+    }
+
+
+class TestBitIdentity:
+    """The in-place forms against the whole-array expressions they replace."""
+
+    @pytest.mark.parametrize("scene", sorted(_bit_scenes()))
+    def test_curvature_is_db_plus_square(self, scene):
+        a = _bit_scenes()[scene]
+        b = a.coeff
+        if a.affine:
+            db = exterior_d(b - a._affine_value_form())
+            for axis, slope in a.affine.items():
+                db.data[1 << axis] += slope
+        else:
+            db = exterior_d(b)
+        assert _same_bits(curvature(a).data, (db + wedge_mul(b, b)).data)
+
+    @pytest.mark.parametrize("scene", sorted(_bit_scenes()))
+    def test_neg_exp_is_exp_of_negated_curvature(self, scene):
+        a = _bit_scenes()[scene]
+        f = curvature(a)
+        heat = neg_exp(f)
+        assert _same_bits(f.data, (-curvature(a)).data)  # negated in place
+        assert _same_bits(heat.data, algebra_exp(-curvature(a)).data)
+
+    @pytest.mark.parametrize("scene", ["winding", "winding-omega", "rotating-line"])
+    def test_projected_connection_is_the_exterior_d_blend(self, scene):
+        if scene == "rotating-line":
+            # a line turning along axis 0 only: dP along axis 1 is all (signed) zeros
+            chart, grading = TorusChart(2, 16), G11
+            angle = np.pi * np.sin(2 * np.pi * chart.coordinate(0))
+            line = np.stack([np.cos(angle), np.sin(angle)], axis=-1).astype(complex)
+            p = line[..., :, None] * line[..., None, :]
+        else:
+            a, _, u, _ = winding_testbed(16)
+            chart, grading = a.chart, a.grading.concat(a.grading.flip())
+            p = index_projectors(a, u, 0.75 * core_min_gap(a, u), ("gauss", 10.5)).p
+        omega_axes = [None] * chart.dim
+        if scene == "winding-omega":
+            conn = random_conn1(np.random.default_rng(5), chart, grading, amp=0.5, max_mode=1)
+            omega_axes[1] = conn[1]
+        dp = exterior_d(GradedMatrixForm.from_matrix_field(chart, grading, p))
+        ref = GradedMatrixForm.zeros(chart, grading)
+        for axis, w in enumerate(omega_axes):
+            dpa = dp.data[1 << axis]
+            blend = 2.0 * (p @ dpa) - dpa
+            if w is not None:
+                p_perp = np.eye(grading.rank) - p
+                blend = blend + p @ w @ p + p_perp @ w @ p_perp
+            ref.data[1 << axis] = blend
+        got = projected_connection(p, omega_axes, chart, grading)
+        assert _same_bits(got.coeff.data, ref.data)
 
 
 class TestChern:

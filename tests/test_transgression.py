@@ -142,9 +142,10 @@ class TestEtaInfinity:
         assert t_soft > t_sharp
 
 
-def _first_args(monkeypatch, name="algebra_exp"):
+def _first_args(monkeypatch, name="neg_exp"):
     """Records the first argument of every call transgression makes to name:
-    for algebra_exp, every node input of the eta quadrature."""
+    for neg_exp, every node curvature of the eta quadrature, which the call
+    negates in place into the node's exponent."""
     seen = []
     original = getattr(transgression, name)
 
