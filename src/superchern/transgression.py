@@ -8,12 +8,11 @@ term has a spectral gap.
 
 eta_between and eta_infinity take the trace functional as a constant fibre
 weight W, tr(x) = Tr(W x) (gamma for the supertrace, the sigma-block selector
-for the odd variant), and an optional constant curving added to the
-curvature (the twisted variant).  They and eta_along_path (polynomial paths)
-share one quadrature core, which evaluates one exponential per node but
-contracts once per rule: the trace is linear in the heat and dA/dt is a
-t-weighted sum of fixed forms, so each rule sums its weighted heats, once
-per fixed form, before taking the trace.
+for the odd variant).  They and eta_along_path (polynomial paths) share one
+quadrature core, which evaluates one exponential per node but contracts once
+per rule: the trace is linear in the heat and dA/dt is a t-weighted sum of
+fixed forms, so each rule sums its weighted heats, once per fixed form,
+before taking the trace.
 """
 
 from __future__ import annotations
@@ -112,14 +111,6 @@ def _eta_quadrature(heat, w, x0, higher, a: float, b: float, cfg: QuadratureConf
     return full, (full - coarse).sup_norm()
 
 
-def _node_heat(theta: np.ndarray, curving: GradedMatrixForm | None, like) -> np.ndarray:
-    """Components of exp(-(theta + curving)) for fresh curvature components
-    theta, which are overwritten."""
-    if curving is not None:
-        theta += curving.data
-    return neg_exp(GradedMatrixForm(like.chart, like.grading, theta)).data
-
-
 def _power_slope(p, t):
     """d/dt t^p: the factor of P_p in dB/dt along a polynomial path, and with
     p = 1 - k that of the degree-k term of A in dA_t/dt on the rescaled family."""
@@ -159,7 +150,6 @@ def eta_between(
     cfg: QuadratureConfig | None = None,
     *,
     weight: np.ndarray | None = None,
-    curving: GradedMatrixForm | None = None,
 ) -> EtaResult:
     """Transgression form along the linear path from a0 to a1.
 
@@ -172,7 +162,7 @@ def eta_between(
     w = _gamma(a0) if weight is None else weight
 
     def heat(t):
-        return _node_heat(_horner(fs, t), curving, a0.coeff)
+        return neg_exp(GradedMatrixForm(a0.chart, a0.grading, _horner(fs, t))).data
 
     form, est = _eta_quadrature(heat, w, diff, [], 0.0, 1.0, cfg)
     return EtaResult(form=form, est_error=est)
@@ -193,7 +183,7 @@ def eta_along_path(a0: Superconnection, coeffs, cfg: QuadratureConfig | None = N
     def heat(t):
         theta, b0 = _horner(fs, t), _horner(b0s, t)
         theta[0] = _fibre_mul(b0, b0)
-        return _node_heat(theta, None, a0.coeff)
+        return neg_exp(GradedMatrixForm(a0.chart, a0.grading, theta)).data
 
     higher = [(p, functools.partial(_power_slope, j)) for j, p in enumerate(coeffs[1:], 2)]
     form, est = _eta_quadrature(heat, _gamma(a0), coeffs[0], higher, 0.0, 1.0, cfg)
@@ -207,7 +197,6 @@ def eta_infinity(
     *,
     gap: float | None = None,
     weight: np.ndarray | None = None,
-    curving: GradedMatrixForm | None = None,
 ) -> EtaResult:
     """Transgression to infinity for an invertible degree-0 term.
 
@@ -228,7 +217,7 @@ def eta_infinity(
     w = _gamma(a) if weight is None else weight
 
     def heat(t):
-        return _node_heat(f * t ** (2.0 - degree), curving, a.coeff)
+        return neg_exp(GradedMatrixForm(chart, a.grading, f * t ** (2.0 - degree))).data
 
     # dA_t/dt = A_[0] + sum_{k >= 2} (1 - k) t^-k A_[k]; degree 1 drops out
     higher = [

@@ -5,31 +5,35 @@ Two modes, mirroring what is honestly computable on a grid:
 * Cech verification mode: finite covers with phase-valued transition data,
   associator phases on triple overlaps, connective-structure 1-forms and
   curvings; the coherence axioms are checked pointwise on overlap cores.
-* Global-curving mode: the gerbe is trivial, a single global 2-form kappa
-  twists the superconnection square to theta = A^2 + kappa, and the whole
-  transgression calculus runs with d_H = d + H ^ . in place of d, where
-  H = d kappa.
+* Global-curving mode: a single global 2-form kappa twists the
+  superconnection square to theta = A^2 + kappa, and d_H = d + H ^ . with
+  H = d kappa replaces d.  This is the trivial twist: kappa . 1 is central
+  and even, so with I_kappa xi = exp(-kappa) ^ xi
 
-Equality mod Im(d_H) is decided by a least-squares solve for a d_H-primitive
-in the truncated Fourier basis; with H nonzero the constant-mode criterion
-used for the untwisted calculus is no longer correct.
+      Ch_kappa = I_kappa Ch,   eta_kappa = I_kappa eta,   d_H I_kappa = I_kappa d,
+
+  and I_kappa is an isomorphism onto the untwisted theory.  The twisted eta
+  forms are I_kappa of the untwisted ones, and X is d_H-exact iff
+  I_{-kappa} X is d-exact, which the harmonic test of forms.equal_mod_exact
+  decides.  The twisted character keeps the paper's exp(-(F + kappa)).
+
+A twist with [H] != 0 needs curvings on several charts and is not modelled.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ChartMismatchError, ClosednessError
 from .forms import (
     GradedMatrixForm,
     Grading,
     TorusChart,
-    _derivative_multiplier,
-    _wedge_signs,
+    equal_mod_exact,
     exterior_d,
     sup_norm,
     supertrace,
@@ -100,27 +104,13 @@ class CechCover:
         return core
 
     def pairs(self):
-        n = len(self.sets)
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
+        return list(itertools.combinations(range(len(self.sets)), 2))
 
     def triples(self):
-        n = len(self.sets)
-        return [
-            (i, j, k)
-            for i in range(n)
-            for j in range(i + 1, n)
-            for k in range(j + 1, n)
-        ]
+        return list(itertools.combinations(range(len(self.sets)), 3))
 
     def quadruples(self):
-        n = len(self.sets)
-        return [
-            (i, j, k, l)
-            for i in range(n)
-            for j in range(i + 1, n)
-            for k in range(j + 1, n)
-            for l in range(k + 1, n)
-        ]
+        return list(itertools.combinations(range(len(self.sets)), 4))
 
 
 def _pair_key(i, j):
@@ -299,20 +289,25 @@ def I_tau(xi: GradedMatrixForm, tau: GradedMatrixForm) -> GradedMatrixForm:
 # -- twisted superconnection calculus (global-curving mode) --------------------
 
 
-def _embed_scalar(kappa: GradedMatrixForm, grading: Grading) -> GradedMatrixForm:
+def _curving(kappa: GradedMatrixForm, grading: Grading) -> GradedMatrixForm:
+    """kappa . I on the fibre of grading, for a global curving kappa: a scalar
+    form of degree 2 only."""
+    if kappa.rank != 1 or set(kappa.degrees_present()) - {2}:
+        raise ChartMismatchError(
+            "a global curving is a scalar 2-form; multi-chart curvings are not supported"
+        )
     out = GradedMatrixForm.zeros(kappa.chart, grading)
-    eye = np.eye(grading.rank)
-    out.data[:] = kappa.data[..., :1, :1] * eye
+    out.data[:] = kappa.data[..., :1, :1] * np.eye(grading.rank)
     return out
 
 
-def _curving(kappa: GradedMatrixForm, grading: Grading) -> GradedMatrixForm:
-    """kappa . I, the curving term of theta, for a global curving kappa."""
-    if kappa.rank != 1:
-        raise ChartMismatchError(
-            "multi-chart curvings are not supported; supply a global 2-form"
-        )
-    return _embed_scalar(kappa, grading)
+def _itau_bound(kappa: GradedMatrixForm) -> float:
+    """b(kappa) = sum_{j <= dim/2} (C(dim, 2) |kappa|)^j / j!, a bound on the
+    sup-norm operator norm of I_kappa: each component of kappa ^ x sums at
+    most C(dim, 2) products of a kappa and an x component."""
+    dim = kappa.chart.dim
+    step = math.comb(dim, 2) * sup_norm(kappa)
+    return sum(step**j / math.factorial(j) for j in range(dim // 2 + 1))
 
 
 def twisted_theta(a: Superconnection, kappa: GradedMatrixForm) -> GradedMatrixForm:
@@ -325,13 +320,22 @@ def twisted_chern(a: Superconnection, kappa: GradedMatrixForm) -> GradedMatrixFo
     return supertrace(neg_exp(twisted_theta(a, kappa)))
 
 
+def _twist(eta: EtaResult, kappa: GradedMatrixForm) -> EtaResult:
+    """I_kappa of an untwisted eta form; the error estimate grows by b(kappa)
+    and the truncation T stays the untwisted one."""
+    form = I_tau(eta.form, _curving(kappa, eta.form.grading))
+    return EtaResult(form, _itau_bound(kappa) * eta.est_error, eta.truncation_T)
+
+
 def twisted_eta_between(
     a0: Superconnection,
     a1: Superconnection,
     kappa: GradedMatrixForm,
     cfg: QuadratureConfig | None = None,
 ) -> EtaResult:
-    return eta_between(a0, a1, cfg, curving=_curving(kappa, a0.grading))
+    """eta_kappa(A0, A1) = I_kappa eta(A0, A1): exp(-(F + kappa)) = exp(-kappa) ^
+    exp(-F) at every node, and I_kappa commutes with the path integral."""
+    return _twist(eta_between(a0, a1, cfg), kappa)
 
 
 def twisted_eta_infinity(
@@ -340,107 +344,36 @@ def twisted_eta_infinity(
     tol: float = 1e-10,
     cfg: QuadratureConfig | None = None,
 ) -> EtaResult:
-    return eta_infinity(a, tol=tol, cfg=cfg, curving=_curving(kappa, a.grading))
+    """eta_kappa(A, infinity) = I_kappa eta(A, infinity), truncated at the
+    untwisted T; the tail and quadrature estimate is b(kappa) times the
+    untwisted one."""
+    return _twist(eta_infinity(a, tol=tol, cfg=cfg), kappa)
 
 
 # -- equality mod Im(d_H) ------------------------------------------------------
 
 
-def _dh_sparse_matrix(chart: TorusChart, h: GradedMatrixForm) -> sp.csr_matrix:
-    """Matrix of d_H on scalar forms in the (component, Fourier mode) basis."""
-    n = chart.grid_size
-    dim = chart.dim
-    nc = chart.n_components
-    npts = n**dim if dim else 1
-    size = nc * npts
-    signs_table = _wedge_signs(dim)
+def is_dH_exact(target: GradedMatrixForm, kappa: GradedMatrixForm, tol: float = 1e-8):
+    """Decide target in Im(d_H), H = d kappa, by the harmonic test of
+    X = I_{-kappa} target: I_{-kappa} d_H = d I_{-kappa}, so target is
+    d_H-exact iff X is d-closed with zero harmonic part.
 
-    rows, cols, vals = [], [], []
-    mode_shape = (n,) * dim if dim else (1,)
-    mode_grid = np.stack(
-        np.unravel_index(np.arange(npts), mode_shape), axis=-1
-    )  # (npts, dim-or-1)
-    # d part: diagonal in the mode index, the multiplier of exterior_d
-    mult = _derivative_multiplier(n)
-    for mask in range(nc):
-        for axis in range(dim):
-            bit = 1 << axis
-            if mask & bit:
-                continue
-            kvals = mult[mode_grid[:, axis]]
-            idx = np.flatnonzero(kvals)
-            rows.append((mask | bit) * npts + idx)
-            cols.append(mask * npts + idx)
-            vals.append(signs_table[bit, mask] * kvals[idx])
-    # H-wedge part: convolution by the Fourier modes of each H component
-    tolz = 1e-14
-    all_idx = np.arange(npts)
-    for hmask in range(nc):
-        comp = h.data[hmask][..., 0, 0]
-        if not comp.any():
-            continue
-        hhat = np.fft.fftn(comp) / npts if dim else comp.reshape(1)
-        nz = np.argwhere(np.abs(hhat) > tolz)
-        for mode in nz:
-            coeff = hhat[tuple(mode)]
-            shifted = (mode_grid + np.asarray(mode)) % n
-            out_idx = np.ravel_multi_index(tuple(shifted.T), mode_shape)
-            for mask in range(nc):
-                s = signs_table[hmask, mask]
-                if s == 0:
-                    continue
-                out_mask = hmask | mask
-                rows.append(out_mask * npts + out_idx)
-                cols.append(mask * npts + all_idx)
-                vals.append(np.full(npts, s * coeff, dtype=np.complex128))
-    if not rows:
-        return sp.csr_matrix((size, size), dtype=np.complex128)
-    row_arr = np.concatenate([np.atleast_1d(r) for r in rows]).astype(np.int64)
-    col_arr = np.concatenate([np.atleast_1d(c) for c in cols]).astype(np.int64)
-    val_arr = np.concatenate([np.atleast_1d(v) for v in vals]).astype(np.complex128)
-    return sp.csr_matrix((val_arr, (row_arr, col_arr)), shape=(size, size))
-
-
-def _scalar_to_modes(xi: GradedMatrixForm) -> np.ndarray:
-    chart = xi.chart
-    n = chart.grid_size
-    dim = chart.dim
-    npts = n**dim if dim else 1
-    out = np.zeros(chart.n_components * npts, dtype=np.complex128)
-    for mask in range(chart.n_components):
-        comp = xi.data[mask][..., 0, 0]
-        hat = np.fft.fftn(comp) / npts if dim else comp.reshape(1)
-        out[mask * npts : (mask + 1) * npts] = hat.reshape(-1)
-    return out
-
-
-def is_dH_exact(target: GradedMatrixForm, h: GradedMatrixForm, tol: float = 1e-8):
-    """Least-squares d_H-primitive search in the truncated Fourier basis.
-
-    Returns (is_exact, residual_norm); the residual is the sup of the
-    unreachable part of target, measured back on the grid scale.
+    Returns (is_exact, residual): (False, sup |dX|) if X is not closed to tol,
+    otherwise the largest harmonic coefficient of X against tol.
     """
-    chart = target.chart
-    mat = _dh_sparse_matrix(chart, h)
-    rhs = _scalar_to_modes(target)
-    result = spla.lsqr(
-        mat,
-        rhs,
-        atol=1e-14,
-        btol=1e-14,
-        iter_lim=8 * rhs.size,
-    )
-    resid_modes = rhs - mat @ result[0]
-    # sup norm on the grid is bounded by the l1 norm of the mode residual
-    residual = float(np.abs(resid_modes).sum())
-    return residual <= tol, residual
+    x = I_tau(target, -1 * _curving(kappa, target.grading))
+    try:
+        ok, report = equal_mod_exact(x, GradedMatrixForm.zeros(x.chart, x.grading), tol)
+    except ClosednessError as err:
+        return False, err.residual
+    return ok, report.residual_norm
 
 
 def twisted_equal_mod_exact(
     a: GradedMatrixForm,
     b: GradedMatrixForm,
-    h: GradedMatrixForm,
+    kappa: GradedMatrixForm,
     tol: float = 1e-8,
 ):
-    """Decide a = b mod Im(d_H) by solving for a primitive of the difference."""
-    return is_dH_exact(a - b, h, tol)
+    """Decide a = b mod Im(d_H) for H = d kappa: is_dH_exact of a - b."""
+    return is_dH_exact(a - b, kappa, tol)

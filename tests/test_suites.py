@@ -162,3 +162,22 @@ def test_odd_point_value_leaves_scipy_special_unimported():
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
     assert done.returncode == 0
+
+
+def test_package_needs_no_scipy():
+    # the runtime depends on numpy only: with scipy unimportable every module
+    # imports and the twisted suite passes every check
+    src = os.path.dirname(os.path.dirname(superchern.__file__))
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import superchern\n"
+        "for mod in pkgutil.walk_packages(superchern.__path__, 'superchern.'):\n"
+        "    importlib.import_module(mod.name)\n"
+        "from superchern.suites import SuiteConfig, run_suite\n"
+        "records = run_suite(SuiteConfig('twisted', seed=42)).records\n"
+        "sys.exit(not records or not all(r.passed for r in records))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=300)
+    assert done.returncode == 0

@@ -51,9 +51,10 @@ from superchern.transgression import (
     eta_between,
     eta_infinity,
 )
-from superchern.twisted import _curving, twisted_theta
+from superchern.twisted import twisted_eta_between, twisted_eta_infinity, twisted_theta
 
 CH2 = TorusChart(2, 32)
+CH3 = TorusChart(3, 8)
 G11 = Grading.balanced(1, 1)
 
 
@@ -176,8 +177,9 @@ def _sigma_affine_pair(seed=15):
 
 
 def _twisted_pair(rng):
-    kappa = random_scalar_form(rng, CH2, {2}, 0.8)
-    return mk(11), mk(12), _curving(kappa, G11), kappa
+    # on T^3 kappa meets the degree-1 part of eta; on T^2 kappa ^ eta = 0
+    a0, a1 = (random_superconnection(rng, CH3, G11, 0.22, 0.154, 1) for _ in range(2))
+    return a0, a1, random_scalar_form(rng, CH3, {2}, 0.8)
 
 
 def _detour(a0, a1, a2):
@@ -208,23 +210,16 @@ class TestNodeCurvature:
 
     CFG = QuadratureConfig(panels=2, order=4)
 
-    @pytest.mark.parametrize("scene", ["random", "sigma-affine", "twisted"])
-    def test_linear_path(self, monkeypatch, rng, scene):
-        curving = kappa = None
-        if scene == "random":
-            a0, a1 = mk(13), mk(14)
-        elif scene == "sigma-affine":
-            a0, a1 = _sigma_affine_pair()
-        else:
-            a0, a1, curving, kappa = _twisted_pair(rng)
+    @pytest.mark.parametrize("scene", ["random", "sigma-affine"])
+    def test_linear_path(self, monkeypatch, scene):
+        a0, a1 = (mk(13), mk(14)) if scene == "random" else _sigma_affine_pair()
         seen = _first_args(monkeypatch)
-        eta_between(a0, a1, self.CFG, curving=curving)
+        eta_between(a0, a1, self.CFG)
         path, _ = affine_path(a0, a1)
         ts = _nodes(0.0, 1.0, self.CFG)
         assert len(seen) == len(ts)
         for t, node in zip(ts, seen):
-            ref = curvature(path(t)) if kappa is None else twisted_theta(path(t), kappa)
-            _assert_close(-node, ref)
+            _assert_close(-node, curvature(path(t)))
 
     @pytest.mark.parametrize("scene", ["random", "sigma-affine"])
     def test_polynomial_path(self, monkeypatch, scene):
@@ -238,23 +233,17 @@ class TestNodeCurvature:
         for t, node in zip(ts, seen):
             _assert_close(-node, curvature(path(t)), rel=1e-13)
 
-    @pytest.mark.parametrize("scene", ["gapped", "sigma-affine", "twisted"])
+    @pytest.mark.parametrize("scene", ["gapped", "sigma-affine"])
     def test_rescaled_family(self, monkeypatch, rng, scene):
-        curving = kappa = None
         a = gapped_superconnection(rng, CH2, gap=1.0, wiggle=0.06, phase_amp=0.2, amp1=0.15)
         if scene == "sigma-affine":
             a = _sigma_affine_pair()[0]
-        elif scene == "twisted":
-            kappa = random_scalar_form(rng, CH2, {2}, 0.8)
-            curving = _curving(kappa, a.grading)
         seen = _first_args(monkeypatch)
-        res = eta_infinity(a, tol=1e-10, cfg=self.CFG, gap=1.0, curving=curving)
+        res = eta_infinity(a, tol=1e-10, cfg=self.CFG, gap=1.0)
         ts = [1.0] + _nodes(1.0, res.truncation_T, self.CFG)
         assert len(seen) == len(ts)
         for t, node in zip(ts, seen):
-            at = rescale(a, t)
-            ref = curvature(at) if kappa is None else twisted_theta(at, kappa)
-            _assert_close(-node, ref)
+            _assert_close(-node, curvature(rescale(a, t)))
 
 
 # -- the per-rule contraction against a per-node one ----------------------------
@@ -298,13 +287,14 @@ def _reference_between(a0, a1, cfg, w=None, kappa=None):
     return _per_node_quadrature(lambda t: theta(path(t)), lambda t: diff, w, 0.0, 1.0, cfg)
 
 
-def _reference_infinity(a, tol, cfg, w=None, kappa=None):
+def _reference_infinity(a, tol, cfg, w=None, kappa=None, t_max=None):
     theta = _theta(kappa)
     w = _gamma(a) if w is None else w
     c = min_gap(a)
     start = trace_wedge(w, _rescaled_derivative(a, 1.0), algebra_exp(-theta(a)))
     big_c = max(start.sup_norm(), tol) * _TAIL_SAFETY
-    t_max = max(math.sqrt(2.0 * math.log(big_c / tol)) / c, 1.0 + 0.5 / c)
+    if t_max is None:
+        t_max = max(math.sqrt(2.0 * math.log(big_c / tol)) / c, 1.0 + 0.5 / c)
     form, est = _per_node_quadrature(
         lambda t: theta(rescale(a, t)), lambda t: _rescaled_derivative(a, t), w, 1.0, t_max, cfg
     )
@@ -319,6 +309,17 @@ def _assert_matches(res, form, est):
     assert est > 1e-8 * scale  # far above round-off, so the estimates are compared
 
 
+def _assert_twisted_matches(res, untwisted, form, est):
+    """res = I_kappa(untwisted) against the node-by-node exp(-(F + kappa)) form
+    and estimate: the same form, a visible twist, and an estimate that bounds
+    both the untwisted one and the twisted order-halving difference."""
+    scale = sup_norm(form)
+    assert sup_norm(res.form - form) <= 1e-13 * scale
+    assert sup_norm(untwisted.form - form) > 0.1 * scale
+    assert res.est_error >= untwisted.est_error
+    assert res.est_error >= est - 1e-13 * scale
+
+
 class TestContractionPerRule:
     """eta_between and eta_infinity sum the weighted heats of each rule before
     the trace; a contraction at every node gives the same forms and estimates."""
@@ -327,34 +328,43 @@ class TestContractionPerRule:
 
     @pytest.mark.parametrize("scene", ["random", "sigma-affine", "twisted"])
     def test_linear_path(self, rng, scene):
-        curving = kappa = w = None
+        w = None
+        if scene == "twisted":
+            # exp(-(F + kappa)) at every node against I_kappa of the untwisted form
+            a0, a1, kappa = _twisted_pair(rng)
+            res = twisted_eta_between(a0, a1, kappa, self.CFG)
+            ref = _reference_between(a0, a1, self.CFG, kappa=kappa)
+            _assert_twisted_matches(res, eta_between(a0, a1, self.CFG), *ref)
+            return
         if scene == "random":
             a0, a1 = mk(13), mk(14)
-        elif scene == "sigma-affine":
+        else:
             # Str vanishes on sigma lifts; the odd variant's weight does not
             a0, a1 = _sigma_affine_pair()
             w = _sigma_weight(a0.rank)
-        else:
-            a0, a1, curving, kappa = _twisted_pair(rng)
-        res = eta_between(a0, a1, self.CFG, weight=w, curving=curving)
-        _assert_matches(res, *_reference_between(a0, a1, self.CFG, w=w, kappa=kappa))
+        res = eta_between(a0, a1, self.CFG, weight=w)
+        _assert_matches(res, *_reference_between(a0, a1, self.CFG, w=w))
 
     @pytest.mark.parametrize("scene", ["gapped", "with-higher", "twisted"])
     def test_rescaled_family(self, rng, scene):
         # on T^2 the total-odd degree-2 term is gamma-odd and meets only the
-        # gamma-even degree-0 heat, so its supertrace vanishes; T^3 sees it
+        # gamma-even degree-0 heat, so its supertrace vanishes; T^3 sees it.
+        # The twisted scene needs T^3 too: kappa ^ eta = 0 on T^2
         higher = scene == "with-higher"
         a = gapped_superconnection(
-            rng, TorusChart(3, 8) if higher else CH2, gap=1.0, wiggle=0.06,
+            rng, CH2 if scene == "gapped" else CH3, gap=1.0, wiggle=0.06,
             phase_amp=0.2, amp1=0.15, with_higher=higher,
         )
         assert (2 in a.coeff.degrees_present()) == higher
-        curving = kappa = None
+        res = eta_infinity(a, tol=1e-10, cfg=self.CFG)
         if scene == "twisted":
-            kappa = random_scalar_form(rng, CH2, {2}, 0.8)
-            curving = _curving(kappa, a.grading)
-        res = eta_infinity(a, tol=1e-10, cfg=self.CFG, curving=curving)
-        form, est, t_max = _reference_infinity(a, 1e-10, self.CFG, kappa=kappa)
+            kappa = random_scalar_form(rng, CH3, {2}, 0.8)
+            twisted = twisted_eta_infinity(a, kappa, tol=1e-10, cfg=self.CFG)
+            assert twisted.truncation_T == res.truncation_T
+            ref = _reference_infinity(a, 1e-10, self.CFG, kappa=kappa, t_max=res.truncation_T)
+            _assert_twisted_matches(twisted, res, *ref[:2])
+            return
+        form, est, t_max = _reference_infinity(a, 1e-10, self.CFG)
         assert abs(res.truncation_T - t_max) <= 1e-13 * t_max
         _assert_matches(res, form, est)
 

@@ -21,6 +21,8 @@ from superchern.twisted import (
     Curving,
     GerbeData,
     I_tau,
+    _curving,
+    _itau_bound,
     curving_field_strength,
     d_H,
     is_dH_exact,
@@ -200,13 +202,49 @@ class TestTwistedDeRham:
         h = exterior_d(kappa)
         primitive = random_scalar_form(rng, TorusChart(3, 8), {0, 1}, 0.5, 1)
         exact = d_H(primitive, h)
-        ok, res = is_dH_exact(exact, h, tol=1e-8)
+        ok, res = is_dH_exact(exact, kappa, tol=1e-8)
         assert ok and res < 1e-8
         const = GradedMatrixForm.from_scalar_field(
             TorusChart(3, 8), np.ones((8, 8, 8)), (0,)
         )
-        ok2, _ = is_dH_exact(const, h, tol=1e-8)
+        ok2, _ = is_dH_exact(const, kappa, tol=1e-8)
         assert not ok2
+
+    def test_exactness_closed_not_exact(self, rng):
+        # I_kappa dx_1 is d_H-closed; I_{-kappa} of it is dx_1, harmonic part 1
+        kappa = random_scalar_form(rng, TorusChart(3, 8), {2}, 0.7, 1)
+        dx1 = GradedMatrixForm.from_scalar_field(TorusChart(3, 8), np.ones((8, 8, 8)), (1,))
+        target = I_tau(dx1, kappa)
+        assert sup_norm(d_H(target, exterior_d(kappa))) < 1e-10
+        ok, res = is_dH_exact(target, kappa, tol=1e-8)
+        assert not ok
+        assert abs(res - 1.0) < 1e-12
+
+    def test_exactness_nonclosed_target(self, rng):
+        kappa = random_scalar_form(rng, TorusChart(3, 8), {2}, 0.7, 1)
+        xi = random_scalar_form(rng, TorusChart(3, 8), {1}, 1.0, 1)
+        closedness = sup_norm(d_H(xi, exterior_d(kappa)))
+        assert closedness > 1.0
+        ok, res = is_dH_exact(xi, kappa, tol=1e-8)
+        assert not ok and res > 1.0
+
+    def test_exactness_rejects_field_strength(self, rng):
+        # a caller passing H = d kappa where the curving belongs: a 3-form is
+        # not a global curving
+        kappa = random_scalar_form(rng, TorusChart(3, 8), {2}, 0.7, 1)
+        xi = random_scalar_form(rng, TorusChart(3, 8), {1}, 1.0, 1)
+        with pytest.raises(ChartMismatchError):
+            is_dH_exact(xi, exterior_d(kappa))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_itau_operator_bound(self, rng, dim):
+        chart = TorusChart(dim, 8)
+        kappa = random_scalar_form(rng, chart, {2}, 0.7, 1)
+        bound = _itau_bound(kappa)
+        assert bound >= 1.0 + sup_norm(kappa)
+        for _ in range(8):
+            delta = random_scalar_form(rng, chart, set(range(dim + 1)), 1.0, 2)
+            assert sup_norm(I_tau(delta, kappa)) <= bound * sup_norm(delta)
 
 
 class TestTwistedCalculus:
@@ -225,16 +263,28 @@ class TestTwistedCalculus:
 
     def test_theta_commutator_is_h(self):
         from superchern.forms import wedge_mul
-        from superchern.twisted import _embed_scalar
 
         chart, a, kappa, h = self.setup_scene(amp=0.3, kamp=0.4)
         theta = twisted_theta(a, kappa)
         b = a.coeff
         comm = exterior_d(theta) + wedge_mul(b, theta) - wedge_mul(theta, b)
-        assert sup_norm(comm - _embed_scalar(h, a.grading)) < 1e-8
+        # d (kappa . 1) = H . 1
+        assert sup_norm(comm - exterior_d(_curving(kappa, a.grading))) < 1e-8
         # theta is even
         _, odd = theta.parity_split()
         assert odd.sup_norm() < 1e-12
+
+    def test_twisted_chern_is_itau_of_chern(self):
+        # a (2|1) bundle has a degree-0 character, so kappa ^ Ch_0 != 0 on T^3
+        chart = TorusChart(3, 8)
+        rng = np.random.default_rng(16)
+        a = random_superconnection(rng, chart, Grading.balanced(2, 1), 0.3, 0.2, 1, False)
+        kappa = random_scalar_form(rng, chart, {2}, 0.3, 1)
+        ch, chk = chern_character(a), twisted_chern(a, kappa)
+        tol = 1e-12 * sup_norm(ch)
+        assert sup_norm(chk - I_tau(ch, kappa)) <= tol
+        # a mutant I_{2 kappa} in place of I_kappa
+        assert sup_norm(chk - I_tau(ch, 2 * kappa)) >= 10 * tol
 
     def test_twisted_chern_dh_closed(self):
         chart, a, kappa, h = self.setup_scene(amp=0.2, kamp=0.25, n=32)
@@ -282,7 +332,7 @@ class TestTwistedCalculus:
             - twisted_eta_between(a0, a2, kappa, cfg).form
         )
         ok, res = twisted_equal_mod_exact(
-            combo, GradedMatrixForm.zeros(chart, Grading.trivial(1)), h, tol=1e-8
+            combo, GradedMatrixForm.zeros(chart, Grading.trivial(1)), kappa, tol=1e-8
         )
         assert ok, res
 
